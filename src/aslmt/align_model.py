@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, SentencePair, TokenSequence, surfaces
+from .corpus import Corpus, RecordReader, SentencePair, TokenSequence, surfaces
 from .errors import EmptyCorpusError, EnumerationSizeError, TableFormatError
 
 SIGN_GIVEN_ENGLISH = "sign_given_english"
@@ -94,27 +94,20 @@ class TranslationTable:
 
     @classmethod
     def load(cls, path: str | Path, floor: float = DEFAULT_TABLE_FLOOR) -> "TranslationTable":
-        path = Path(path)
-        with open(path, encoding="utf-8") as handle:
-            header = handle.readline().rstrip("\n").split()
-            if len(header) != 4 or header[0] != "direction" or header[2] != "epsilon":
-                raise TableFormatError(f"{path}: bad table header")
-            direction = header[1]
-            epsilon = float(header[3])
-            t: dict[TableKey, float] = {}
-            for lineno, raw in enumerate(handle, start=2):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise TableFormatError(
-                        f"{path}:{lineno}: expected 'source<TAB>target<TAB>prob'"
-                    )
-                source, target_str, prob_str = fields
-                target = NULL if target_str == "NULL" else target_str
-                t[(source, target)] = float(prob_str)
-        return cls(t, direction, epsilon, floor)
+        reader = RecordReader(path, TableFormatError)
+        lines = iter(reader)
+        header = next(lines, "").split()
+        if len(header) != 4 or header[0] != "direction" or header[2] != "epsilon":
+            reader.fail("bad table header")
+        if header[1] not in (SIGN_GIVEN_ENGLISH, ENGLISH_GIVEN_SIGN):
+            reader.fail(f"unknown direction {header[1]!r}")
+        epsilon = reader.number(header[3], "epsilon")
+        t: dict[TableKey, float] = {}
+        for line in lines:
+            source, target_str, prob_str = reader.split(line, "source<TAB>target<TAB>prob")
+            target = NULL if target_str == "NULL" else target_str
+            t[(source, target)] = reader.number(prob_str, "probability", low=0.0, high=1.0)
+        return cls(t, header[1], epsilon, floor)
 
 
 @dataclass(frozen=True)
@@ -126,8 +119,8 @@ class EmConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not math.isfinite(self.convergence_tol) or self.convergence_tol <= 0:
+            raise ValueError("convergence_tol must be finite and positive")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")
 
@@ -184,19 +177,49 @@ def init_uniform(corpus: Corpus, direction: str, epsilon: float = 1.0) -> Transl
     return TranslationTable(t, direction, epsilon)
 
 
+def _floored_row(table: TranslationTable, source: str, targets: Sequence[str]) -> list[float]:
+    """t(source, NULL) then t(source, e) for each target token, floored."""
+    return [table.lookup(source, NULL)] + [table.lookup(source, e) for e in targets]
+
+
 def alignment_posterior(
     source: TokenSequence | Sequence[str],
     target: TokenSequence | Sequence[str],
     table: TranslationTable,
 ) -> AlignmentPosterior:
-    src = surfaces(source)
     tgt = surfaces(target)
     rows = []
-    for s in src:
-        values = [table.lookup(s, NULL)] + [table.lookup(s, e) for e in tgt]
+    for s in surfaces(source):
+        values = _floored_row(table, s, tgt)
         total = sum(values)
         rows.append(tuple(v / total for v in values))
     return AlignmentPosterior(tuple(rows))
+
+
+def _em_update(corpus: Corpus, table: TranslationTable) -> tuple[TranslationTable, float]:
+    """One EM update, and the raw (unfloored) training log-likelihood of
+    the input table, summed from the same per-position row totals."""
+    counts: dict[TableKey, float] = {}
+    column_totals: dict[str | None, float] = {}
+    log_likelihood = 0.0
+    log_epsilon = math.log(table.epsilon)
+    for pair in corpus:
+        src, tgt = _pair_sides(pair, table.direction)
+        targets: list[str | None] = [NULL, *tgt]
+        log_likelihood += log_epsilon - len(src) * math.log(1 + len(tgt))
+        for s in src:
+            row = [table.t.get((s, e), 0.0) for e in targets]
+            total = sum(row)
+            log_likelihood += math.log(total)
+            for e, value in zip(targets, row):
+                if value == 0.0:
+                    continue
+                weight = value / total
+                key = (s, e)
+                counts[key] = counts.get(key, 0.0) + weight
+                column_totals[e] = column_totals.get(e, 0.0) + weight
+    new_t = {key: c / column_totals[key[1]] for key, c in counts.items()}
+    return TranslationTable(new_t, table.direction, table.epsilon, table.floor), log_likelihood
 
 
 def em_step(corpus: Corpus, table: TranslationTable) -> TranslationTable:
@@ -206,61 +229,33 @@ def em_step(corpus: Corpus, table: TranslationTable) -> TranslationTable:
     positions (NULL first) proportionally to the current t values.
     M-step: renormalize the accumulated counts per target column.
     """
-    counts: dict[TableKey, float] = {}
-    column_totals: dict[str | None, float] = {}
-    for pair in corpus:
-        src, tgt = _pair_sides(pair, table.direction)
-        targets: list[str | None] = [NULL, *tgt]
-        for s in src:
-            row = [table.t.get((s, e), 0.0) for e in targets]
-            total = sum(row)
-            for e, value in zip(targets, row):
-                if value == 0.0:
-                    continue
-                weight = value / total
-                key = (s, e)
-                counts[key] = counts.get(key, 0.0) + weight
-                column_totals[e] = column_totals.get(e, 0.0) + weight
-    new_t = {key: c / column_totals[key[1]] for key, c in counts.items()}
-    return TranslationTable(new_t, table.direction, table.epsilon, table.floor)
-
-
-def _raw_row_sum(table: TranslationTable, s: str, targets: Sequence[str]) -> float:
-    total = table.t.get((s, NULL), 0.0)
-    for e in targets:
-        total += table.t.get((s, e), 0.0)
-    return total
-
-
-def _corpus_log_likelihood(corpus: Corpus, table: TranslationTable, epsilon: float) -> float:
-    """Training-data log-likelihood under the raw (unfloored) table."""
-    total = 0.0
-    for pair in corpus:
-        src, tgt = _pair_sides(pair, table.direction)
-        total += math.log(epsilon) - len(src) * math.log(1 + len(tgt))
-        for s in src:
-            total += math.log(_raw_row_sum(table, s, tgt))
-    return total
+    return _em_update(corpus, table)[0]
 
 
 def em_train(corpus: Corpus, config: EmConfig, direction: str) -> EmResult:
     """Initialize uniformly once, then iterate em_step until the largest
     absolute change in any t entry drops below the tolerance or the
-    iteration cap is hit."""
+    iteration cap is hit.
+
+    ``log_likelihoods[k]`` is the raw training log-likelihood of the k-th
+    table (0 is the uniform start). Each update yields it for its input
+    table, so one more E-step scores the final table.
+    """
     table = init_uniform(corpus, direction, config.epsilon)
-    log_likelihoods = [_corpus_log_likelihood(corpus, table, config.epsilon)]
+    log_likelihoods = []
     iterations = 0
     for _ in range(config.max_iterations):
-        updated = em_step(corpus, table)
+        updated, log_likelihood = _em_update(corpus, table)
+        log_likelihoods.append(log_likelihood)
         iterations += 1
         delta = max(
             abs(updated.t.get(key, 0.0) - table.t.get(key, 0.0))
             for key in set(table.t) | set(updated.t)
         )
-        log_likelihoods.append(_corpus_log_likelihood(corpus, updated, config.epsilon))
         table = updated
         if delta < config.convergence_tol:
             break
+    log_likelihoods.append(_em_update(corpus, table)[1])
     return EmResult(table, iterations, tuple(log_likelihoods))
 
 
@@ -278,10 +273,7 @@ def translation_logprob(
     tgt = surfaces(target)
     total = math.log(epsilon) - len(src) * math.log(1 + len(tgt))
     for s in src:
-        row = table.lookup(s, NULL)
-        for e in tgt:
-            row += table.lookup(s, e)
-        total += math.log(row)
+        total += math.log(sum(_floored_row(table, s, tgt)))
     return total
 
 

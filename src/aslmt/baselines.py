@@ -15,8 +15,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .align_model import NULL, SIGN_GIVEN_ENGLISH, TranslationTable
-from .corpus import Corpus, TokenKind, TokenSequence, asl_token, english_token, surfaces
-from .errors import EmptyCorpusError
+from .corpus import (
+    Corpus,
+    RecordReader,
+    TokenKind,
+    TokenSequence,
+    asl_token,
+    english_token,
+    surfaces,
+)
+from .errors import AslmtError, EmptyCorpusError
 from .lang_model import NgramModel
 
 DEFAULT_HELPERS = (
@@ -183,10 +191,4 @@ def baseline_asl_to_eng(
 
 def load_helper_words(path: str | Path) -> tuple[str, ...]:
     """One helper word per line; blank lines and # comments skipped."""
-    helpers = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            word = raw.strip()
-            if word and not word.startswith("#"):
-                helpers.append(word)
-    return tuple(helpers)
+    return tuple(line.strip() for line in RecordReader(path, AslmtError, comments=True))

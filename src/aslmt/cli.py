@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .align_model import (
     ENGLISH_GIVEN_SIGN,
@@ -30,9 +31,11 @@ from .baselines import (
     baseline_eng_to_asl,
     load_helper_words,
 )
-from .bleu_eval import bleu2
+from .bleu_eval import bleu2, corpus_mean_bleu
 from .corpus import (
     Corpus,
+    RecordReader,
+    SentencePair,
     TokenSequence,
     filter_subset,
     load_corpus,
@@ -41,7 +44,7 @@ from .corpus import (
     tokenize_asl,
     tokenize_english,
 )
-from .decoder import ASL_TO_ENG, ENG_TO_ASL, DecoderConfig, decode, translate_corpus
+from .decoder import ASL_TO_ENG, DIRECTIONS, ENG_TO_ASL, DecoderConfig, decode, translate_corpus
 from .errors import AslmtError, EmptyCorpusError, UsageError
 from .lang_model import (
     AslUnigramModel,
@@ -56,7 +59,6 @@ from .lang_model import (
 
 LM_ORDERS = {"unigram": 1, "bigram": 2, "trigram": 3}
 SUBSETS = ("all", "comma", "gesture")
-DIRECTIONS = (ASL_TO_ENG, ENG_TO_ASL)
 
 TABLE_FILES = {
     SIGN_GIVEN_ENGLISH: "tm_sign_given_english.tsv",
@@ -90,83 +92,58 @@ def _choice(allowed: Sequence[str]) -> Callable[[str], str]:
             raise UsageError(f"expected one of {', '.join(allowed)}; got {text!r}")
         return text
 
+    parse.metavar = "{" + ",".join(allowed) + "}"  # --help lists the choices
     return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise UsageError("list flag needs at least one value")
-    return values
+def _list(item: Callable[[str], object]) -> Callable[[str], list]:
+    """Parser for a comma-separated list of values that ``item`` parses."""
 
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise UsageError("list flag needs at least one value")
-    return values
-
-
-def _str_list(allowed: Sequence[str]) -> Callable[[str], list[str]]:
-    def parse(text: str) -> list[str]:
-        values = [part.strip() for part in text.split(",") if part.strip()]
+    def parse(text: str) -> list:
+        try:
+            values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise UsageError(f"expected a comma-separated list, got {text!r}") from None
         if not values:
             raise UsageError("list flag needs at least one value")
-        for value in values:
-            if value not in allowed:
-                raise UsageError(f"expected values from {', '.join(allowed)}; got {value!r}")
         return values
 
     return parse
 
 
-# option name -> (default, parser for config-file values)
-OPTIONS: dict[str, tuple[object, Callable[[str], object]]] = {
-    "direction": (None, _choice(DIRECTIONS)),
-    "lm_kind": (None, _choice(tuple(LM_ORDERS))),
-    "lm_weight": (0.1, float),
-    "queue_size": (20, int),
-    "fanout": (5, int),
-    "max_words_per_source": (3, int),
-    "epsilon": (1.0, float),
-    "seed": (0, int),
-    "capped_brevity": (False, _parse_bool),
-    "subset": ("all", _choice(SUBSETS)),
-    "comma_boost": (2.0, float),
-    "em_iterations": (100, int),
-    "em_tol": (1e-4, float),
-    "literal_log_sum": (False, _parse_bool),
-    "queue_sizes": (None, _int_list),
-    "lm_weights": (None, _float_list),
-    "lm_kinds": (None, _str_list(tuple(LM_ORDERS))),
+class Option(NamedTuple):
+    default: object
+    parse: Callable[[str], object]
+    commands: tuple[str, ...] | None = None  # subcommands with this flag; None is all
+
+
+# The one declaration of every option: each becomes the flag --name-with-
+# dashes on its commands (booleans take no value) and the config-file key
+# name. Config files may set any key for any command.
+OPTIONS: dict[str, Option] = {
+    "direction": Option(None, _choice(DIRECTIONS)),
+    "lm_kind": Option(None, _choice(tuple(LM_ORDERS))),
+    "lm_weight": Option(0.1, float),
+    "queue_size": Option(20, int),
+    "fanout": Option(5, int),
+    "max_words_per_source": Option(3, int),
+    "epsilon": Option(1.0, float),
+    "seed": Option(0, int),
+    "capped_brevity": Option(False, _parse_bool),
+    "literal_log_sum": Option(False, _parse_bool),
+    "subset": Option("all", _choice(SUBSETS)),
+    "comma_boost": Option(2.0, float),
+    "em_iterations": Option(100, int, ("train",)),
+    "em_tol": Option(1e-4, float, ("train",)),
+    "queue_sizes": Option(None, _list(int), ("sweep",)),
+    "lm_weights": Option(None, _list(float), ("sweep",)),
+    "lm_kinds": Option(None, _list(_choice(tuple(LM_ORDERS))), ("sweep",)),
 }
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
-
-
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--direction", choices=DIRECTIONS)
-    parser.add_argument("--lm-kind", dest="lm_kind", choices=tuple(LM_ORDERS))
-    parser.add_argument("--lm-weight", dest="lm_weight", type=float)
-    parser.add_argument("--queue-size", dest="queue_size", type=int)
-    parser.add_argument("--fanout", type=int)
-    parser.add_argument("--max-words-per-source", dest="max_words_per_source", type=int)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--capped-brevity", dest="capped_brevity", action="store_const", const=True)
-    parser.add_argument("--literal-log-sum", dest="literal_log_sum", action="store_const", const=True)
-    parser.add_argument("--subset", choices=SUBSETS)
-    parser.add_argument("--comma-boost", dest="comma_boost", type=float)
 
 
 def build_parser() -> _Parser:
@@ -176,75 +153,72 @@ def build_parser() -> _Parser:
     split = commands.add_parser("split", help="write train/dev/test corpus files")
     split.add_argument("corpus")
     split.add_argument("--out", required=True, help="output directory")
-    _shared_flags(split)
     split.set_defaults(func=cmd_split)
 
     train = commands.add_parser("train", help="train translation tables and language models")
     train.add_argument("corpus")
     train.add_argument("--out", required=True, help="model directory")
-    train.add_argument("--em-iterations", dest="em_iterations", type=int)
-    train.add_argument("--em-tol", dest="em_tol", type=float)
-    _shared_flags(train)
     train.set_defaults(func=cmd_train)
 
     translate = commands.add_parser("translate", help="translate sentences, one per line")
     translate.add_argument("input", nargs="?", help="input file (default: stdin)")
     translate.add_argument("--models", required=True)
     translate.add_argument("--english-ngrams", dest="english_ngrams", help="external n-gram count file for the English LM")
-    _shared_flags(translate)
     translate.set_defaults(func=cmd_translate)
 
     evaluate = commands.add_parser("evaluate", help="translate a test corpus and score with BLEU-2")
     evaluate.add_argument("corpus")
     evaluate.add_argument("--models", required=True)
     evaluate.add_argument("--english-ngrams", dest="english_ngrams")
-    _shared_flags(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
     sweep = commands.add_parser("sweep", help="grid-evaluate queue sizes, weights, and LM kinds")
     sweep.add_argument("corpus", help="development corpus")
     sweep.add_argument("--models", required=True)
-    sweep.add_argument("--queue-sizes", dest="queue_sizes", type=_int_list)
-    sweep.add_argument("--lm-weights", dest="lm_weights", type=_float_list)
-    sweep.add_argument("--lm-kinds", dest="lm_kinds", type=_str_list(tuple(LM_ORDERS)))
-    _shared_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     baseline = commands.add_parser("baseline", help="score the rule-based baseline on a corpus")
     baseline.add_argument("corpus")
     baseline.add_argument("--models", required=True)
     baseline.add_argument("--helpers", help="helper-word list, one word per line")
-    _shared_flags(baseline)
     baseline.set_defaults(func=cmd_baseline)
 
+    for command, sub in commands.choices.items():
+        sub.add_argument("--config", help="key=value config file; flags override it")
+        for name, option in OPTIONS.items():
+            if option.commands is not None and command not in option.commands:
+                continue
+            flag = "--" + name.replace("_", "-")
+            if option.parse is _parse_bool:
+                sub.add_argument(flag, dest=name, action="store_const", const=True)
+            else:
+                metavar = getattr(option.parse, "metavar", None)
+                sub.add_argument(flag, dest=name, type=option.parse, metavar=metavar)
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config_file(path: str) -> dict[str, object]:
+    reader = RecordReader(path, UsageError, comments=True)
+    values: dict[str, object] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+        for line in reader:
+            key, text = reader.key_value(line)
+            key = key.replace("-", "_")
+            if key not in OPTIONS:
+                reader.fail(f"unknown config key {key!r}")
+            try:
+                values[key] = OPTIONS[key].parse(text)
+            except (UsageError, ValueError) as exc:
+                reader.fail(f"bad value for {key}: {exc}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return values
 
 
 def resolve_options(args: argparse.Namespace) -> dict[str, object]:
-    opts = {name: default for name, (default, _) in OPTIONS.items()}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in _load_config_file(config_path).items():
-            if key not in OPTIONS:
-                raise UsageError(f"unknown config key {key!r}")
-            opts[key] = OPTIONS[key][1](value)
+    opts = {name: option.default for name, option in OPTIONS.items()}
+    if args.config:
+        opts.update(_load_config_file(args.config))
     for name in OPTIONS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -260,7 +234,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _record(name: str, fields: Sequence[tuple[str, object]]) -> str:
+def _record(name: str, fields: Iterable[tuple[str, object]]) -> str:
     return " ".join([f"record={name}"] + [f"{key}={_fmt(value)}" for key, value in fields])
 
 
@@ -284,11 +258,8 @@ class ModelSet:
         tables = {tag: TranslationTable.load(require(name)) for tag, name in TABLE_FILES.items()}
         english = {order: load_ngram_file(require(_english_lm_file(order)), order) for order in (1, 2, 3)}
         asl = load_asl_model(require(ASL_MODEL_FILE))
-        config: dict[str, str] = {}
-        for line in require(TRAIN_CONFIG_FILE).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                key, _, value = line.partition("=")
-                config[key.strip()] = value.strip()
+        reader = RecordReader(require(TRAIN_CONFIG_FILE), AslmtError)
+        config = dict(reader.key_value(line) for line in reader)
         return cls(tables, english, asl, config)
 
 
@@ -299,8 +270,7 @@ def _require_direction(opts: dict[str, object]) -> str:
     return str(direction)
 
 
-def _resolve_lm_kind(direction: str, opts: dict[str, object]) -> str:
-    lm_kind = opts["lm_kind"]
+def _resolve_lm_kind(direction: str, lm_kind: object) -> str:
     if direction == ENG_TO_ASL:
         if lm_kind not in (None, "unigram"):
             raise UsageError("eng_to_asl always scores with the ASL unigram model")
@@ -308,15 +278,26 @@ def _resolve_lm_kind(direction: str, opts: dict[str, object]) -> str:
     return str(lm_kind) if lm_kind is not None else "trigram"
 
 
+@contextmanager
+def _as_usage_error() -> Iterator[None]:
+    """Configs and models validate their parameters with ValueError; here
+    the values come from flags and config files, so report bad usage."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _decoder_config(opts: dict[str, object]) -> DecoderConfig:
-    return DecoderConfig(
-        lm_weight=float(opts["lm_weight"]),
-        max_queue_size=int(opts["queue_size"]),
-        fanout=int(opts["fanout"]),
-        max_words_per_source=int(opts["max_words_per_source"]),
-        epsilon=float(opts["epsilon"]),
-        literal_log_sum=bool(opts["literal_log_sum"]),
-    )
+    with _as_usage_error():
+        return DecoderConfig(
+            lm_weight=float(opts["lm_weight"]),
+            max_queue_size=int(opts["queue_size"]),
+            fanout=int(opts["fanout"]),
+            max_words_per_source=int(opts["max_words_per_source"]),
+            epsilon=float(opts["epsilon"]),
+            literal_log_sum=bool(opts["literal_log_sum"]),
+        )
 
 
 def _select_models(
@@ -332,21 +313,35 @@ def _select_models(
     return table, lm
 
 
-def _apply_subset(corpus: Corpus, subset: str) -> Corpus:
-    if subset == "all":
-        return corpus
-    filtered = filter_subset(corpus, f"has_{subset}")
-    if not len(filtered):
-        raise AslmtError(f"no matching pairs for subset {subset!r}")
-    return filtered
+def _reference(pair: SentencePair, direction: str) -> TokenSequence:
+    return pair.english_side if direction == ASL_TO_ENG else pair.sign_side
+
+
+def _load_scored_corpus(path: str, subset: str) -> Corpus:
+    corpus = load_corpus(path)
+    if subset != "all":
+        corpus = filter_subset(corpus, f"has_{subset}")
+        if not len(corpus):
+            raise AslmtError(f"no matching pairs for subset {subset!r}")
+    if not len(corpus):
+        raise AslmtError("no pairs to evaluate")
+    return corpus
 
 
 def _print_scored(
-    scored: Sequence[tuple[int, TokenSequence, TokenSequence]],
-    capped: bool,
+    heading: str,
+    direction: str,
+    opts: dict[str, object],
+    corpus: Corpus,
+    preds: Sequence[TokenSequence],
     summary_fields: Sequence[tuple[str, object]],
-) -> float:
-    reports = [(pair_id, bleu2(pred, ref, capped), pred, ref) for pair_id, pred, ref in scored]
+) -> None:
+    subset, capped = str(opts["subset"]), bool(opts["capped_brevity"])
+    print(f"{heading} direction={direction} subset={subset} pairs={len(corpus)}")
+    reports = []
+    for pair, pred in zip(corpus, preds):
+        ref = _reference(pair, direction)
+        reports.append((pair.pair_id, bleu2(pred, ref, capped), pred, ref))
     for pair_id, report, pred, ref in reports:
         print(f"  {pair_id:>4}  {report.score:.6f}  pred: {pred.render()}")
         print(f"        {'':8}  ref:  {ref.render()}")
@@ -367,8 +362,8 @@ def _print_scored(
                 ],
             )
         )
-    print(_record("summary", list(summary_fields) + [("pairs", len(reports)), ("mean_bleu2", mean)]))
-    return mean
+    summary = [("capped", capped), ("subset", subset), ("pairs", len(reports))]
+    print(_record("summary", [*summary_fields, *summary, ("mean_bleu2", mean)]))
 
 
 def cmd_split(args: argparse.Namespace, opts: dict[str, object]) -> int:
@@ -388,14 +383,17 @@ def cmd_split(args: argparse.Namespace, opts: dict[str, object]) -> int:
 
 
 def cmd_train(args: argparse.Namespace, opts: dict[str, object]) -> int:
+    with _as_usage_error():
+        em_config = EmConfig(
+            max_iterations=int(opts["em_iterations"]),
+            convergence_tol=float(opts["em_tol"]),
+            epsilon=float(opts["epsilon"]),
+        )
     corpus = load_corpus(args.corpus)
     if not len(corpus):
         raise EmptyCorpusError(f"no pairs in {args.corpus}")
-    em_config = EmConfig(
-        max_iterations=int(opts["em_iterations"]),
-        convergence_tol=float(opts["em_tol"]),
-        epsilon=float(opts["epsilon"]),
-    )
+    with _as_usage_error():
+        asl_model = build_asl_model(corpus, comma_boost=float(opts["comma_boost"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"training on {len(corpus)} pairs from {args.corpus}")
@@ -414,7 +412,6 @@ def cmd_train(args: argparse.Namespace, opts: dict[str, object]) -> int:
         )
     for order in (1, 2, 3):
         save_ngram_file(build_english_model(corpus, order), out / _english_lm_file(order))
-    asl_model = build_asl_model(corpus, comma_boost=float(opts["comma_boost"]))
     save_asl_model(asl_model, out / ASL_MODEL_FILE)
     cost = UnigramCost.from_corpus(corpus, build_english_model(corpus, 1))
     echo = [
@@ -435,10 +432,10 @@ def cmd_train(args: argparse.Namespace, opts: dict[str, object]) -> int:
 
 def cmd_translate(args: argparse.Namespace, opts: dict[str, object]) -> int:
     direction = _require_direction(opts)
-    lm_kind = _resolve_lm_kind(direction, opts)
+    lm_kind = _resolve_lm_kind(direction, opts["lm_kind"])
+    config = _decoder_config(opts)
     models = ModelSet.load(args.models)
     table, lm = _select_models(models, direction, lm_kind, args.english_ngrams)
-    config = _decoder_config(opts)
     tokenize = tokenize_asl if direction == ASL_TO_ENG else tokenize_english
     if args.input:
         with open(args.input, encoding="utf-8") as handle:
@@ -453,26 +450,18 @@ def cmd_translate(args: argparse.Namespace, opts: dict[str, object]) -> int:
 
 def cmd_evaluate(args: argparse.Namespace, opts: dict[str, object]) -> int:
     direction = _require_direction(opts)
-    lm_kind = _resolve_lm_kind(direction, opts)
+    lm_kind = _resolve_lm_kind(direction, opts["lm_kind"])
+    config = _decoder_config(opts)
     models = ModelSet.load(args.models)
     table, lm = _select_models(models, direction, lm_kind, args.english_ngrams)
-    config = _decoder_config(opts)
-    corpus = _apply_subset(load_corpus(args.corpus), str(opts["subset"]))
-    if not len(corpus):
-        raise AslmtError("no pairs to evaluate")
-    outputs = dict(translate_corpus(corpus, direction, table, lm, config))
-    scored = [
-        (
-            pair.pair_id,
-            outputs[pair.pair_id],
-            pair.english_side if direction == ASL_TO_ENG else pair.sign_side,
-        )
-        for pair in corpus
-    ]
-    print(f"evaluating direction={direction} subset={opts['subset']} pairs={len(scored)}")
+    corpus = _load_scored_corpus(args.corpus, str(opts["subset"]))
+    preds = [pred for _, pred in translate_corpus(corpus, direction, table, lm, config)]
     _print_scored(
-        scored,
-        bool(opts["capped_brevity"]),
+        "evaluating",
+        direction,
+        opts,
+        corpus,
+        preds,
         [
             ("command", "evaluate"),
             ("direction", direction),
@@ -481,8 +470,6 @@ def cmd_evaluate(args: argparse.Namespace, opts: dict[str, object]) -> int:
             ("queue_size", config.max_queue_size),
             ("fanout", config.fanout),
             ("epsilon", config.epsilon),
-            ("capped", bool(opts["capped_brevity"])),
-            ("subset", str(opts["subset"])),
         ],
     )
     return 0
@@ -491,103 +478,54 @@ def cmd_evaluate(args: argparse.Namespace, opts: dict[str, object]) -> int:
 def cmd_sweep(args: argparse.Namespace, opts: dict[str, object]) -> int:
     direction = _require_direction(opts)
     defaults = DEFAULT_SWEEP[direction]
-    kinds = opts["lm_kinds"] or defaults["lm_kinds"]
+    kinds = [_resolve_lm_kind(direction, kind) for kind in opts["lm_kinds"] or defaults["lm_kinds"]]
     queues = opts["queue_sizes"] or defaults["queue_sizes"]
     weights = opts["lm_weights"] or defaults["lm_weights"]
-    if direction == ENG_TO_ASL and any(kind != "unigram" for kind in kinds):
-        raise UsageError("eng_to_asl always scores with the ASL unigram model")
+    base = _decoder_config(opts)
+    with _as_usage_error():
+        configs = [
+            replace(base, max_queue_size=queue_size, lm_weight=weight)
+            for queue_size in sorted(queues)
+            for weight in sorted(weights)
+        ]
     models = ModelSet.load(args.models)
     corpus = load_corpus(args.corpus)
     if not len(corpus):
         raise AslmtError("no pairs in the development corpus")
     capped = bool(opts["capped_brevity"])
-    base = _decoder_config(opts)
-    print(
-        f"sweep direction={direction} dev_pairs={len(corpus)} "
-        f"cells={len(kinds) * len(queues) * len(weights)}"
-    )
+    print(f"sweep direction={direction} dev_pairs={len(corpus)} cells={len(kinds) * len(configs)}")
+    fields = ("lm_kind", "queue_size", "lm_weight", "mean_bleu2")
     rows = []
     for kind in sorted(kinds):
         table, lm = _select_models(models, direction, kind, None)
-        for queue_size in sorted(queues):
-            for weight in sorted(weights):
-                config = DecoderConfig(
-                    lm_weight=weight,
-                    max_queue_size=queue_size,
-                    fanout=base.fanout,
-                    max_words_per_source=base.max_words_per_source,
-                    epsilon=base.epsilon,
-                    literal_log_sum=base.literal_log_sum,
-                )
-                outputs = dict(translate_corpus(corpus, direction, table, lm, config))
-                total = 0.0
-                for pair in corpus:
-                    ref = pair.english_side if direction == ASL_TO_ENG else pair.sign_side
-                    total += bleu2(outputs[pair.pair_id], ref, capped).score
-                mean = total / len(corpus)
-                rows.append((kind, queue_size, weight, mean))
-                print(
-                    _record(
-                        "sweep",
-                        [
-                            ("lm_kind", kind),
-                            ("queue_size", queue_size),
-                            ("lm_weight", weight),
-                            ("mean_bleu2", mean),
-                        ],
-                    )
-                )
-    best = rows[0]
-    for row in rows[1:]:
-        if row[3] > best[3]:
-            best = row
-    print(
-        _record(
-            "best",
-            [
-                ("lm_kind", best[0]),
-                ("queue_size", best[1]),
-                ("lm_weight", best[2]),
-                ("mean_bleu2", best[3]),
-            ],
-        )
-    )
+        for config in configs:
+            outputs = translate_corpus(corpus, direction, table, lm, config)
+            scored = [(pred, _reference(pair, direction)) for pair, (_, pred) in zip(corpus, outputs)]
+            mean = corpus_mean_bleu(scored, capped)
+            rows.append((kind, config.max_queue_size, config.lm_weight, mean))
+            print(_record("sweep", zip(fields, rows[-1])))
+    print(_record("best", zip(fields, max(rows, key=lambda row: row[3]))))
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace, opts: dict[str, object]) -> int:
     direction = _require_direction(opts)
     models = ModelSet.load(args.models)
-    corpus = _apply_subset(load_corpus(args.corpus), str(opts["subset"]))
-    if not len(corpus):
-        raise AslmtError("no pairs to evaluate")
+    corpus = _load_scored_corpus(args.corpus, str(opts["subset"]))
     lexicon = BilingualLexicon.from_table(models.tables[SIGN_GIVEN_ENGLISH])
-    scored = []
     if direction == ASL_TO_ENG:
         helpers = load_helper_words(args.helpers) if args.helpers else DEFAULT_HELPERS
-        for pair in corpus:
-            pred = baseline_asl_to_eng(pair.sign_side, lexicon, models.english[2], helpers)
-            scored.append((pair.pair_id, pred, pair.english_side))
+        bigram = models.english[2]
+        preds = [baseline_asl_to_eng(pair.sign_side, lexicon, bigram, helpers) for pair in corpus]
     else:
         try:
             threshold = float(models.config["unigram_cost_threshold"])
         except (KeyError, ValueError):
             raise AslmtError("model directory lacks a usable unigram_cost_threshold") from None
         cost = UnigramCost(models.english[1], threshold)
-        for pair in corpus:
-            pred = baseline_eng_to_asl(pair.english_side, cost, lexicon)
-            scored.append((pair.pair_id, pred, pair.sign_side))
-    print(f"baseline direction={direction} subset={opts['subset']} pairs={len(scored)}")
-    _print_scored(
-        scored,
-        bool(opts["capped_brevity"]),
-        [
-            ("command", "baseline"),
-            ("direction", direction),
-            ("capped", bool(opts["capped_brevity"])),
-            ("subset", str(opts["subset"])),
-        ],
-    )
+        preds = [baseline_eng_to_asl(pair.english_side, cost, lexicon) for pair in corpus]
+    summary = [("command", "baseline"), ("direction", direction)]
+    _print_scored("baseline", direction, opts, corpus, preds, summary)
     return 0
 
 

@@ -7,14 +7,16 @@ tokenizes the same way no matter which module touches it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .errors import (
+    AslmtError,
     CorpusFormatError,
     MalformedGlossError,
     SplitTooSmallError,
@@ -226,29 +228,83 @@ def filter_subset(corpus: Corpus, predicate: str) -> Corpus:
     return Corpus(kept, corpus.provenance)
 
 
+class RecordReader:
+    """Line-numbered reader behind every file loader in the package.
+
+    Iterating yields each line without its newline, skipping blank lines
+    and, with ``comments``, lines whose first non-blank character is "#".
+    ``lineno`` is the number of the line last yielded, and every error
+    raised through ``fail`` is an ``error`` prefixed with ``path:line``.
+    """
+
+    def __init__(self, path: str | Path, error: type[AslmtError], comments: bool = False) -> None:
+        self.path = Path(path)
+        self.error = error
+        self.comments = comments
+        self.lineno = 0
+
+    def __iter__(self) -> Iterator[str]:
+        with open(self.path, encoding="utf-8") as handle:
+            for self.lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n")
+                if line.strip() and not (self.comments and line.lstrip().startswith("#")):
+                    yield line
+
+    def fail(self, message: str) -> NoReturn:
+        raise self.error(f"{self.path}:{self.lineno}: {message}")
+
+    def split(self, line: str, form: str) -> list[str]:
+        """The TAB-separated fields of ``line``, as many as ``form`` (such
+        as "count<TAB>sign") spells out."""
+        fields = line.split("\t")
+        if len(fields) != form.count("<TAB>") + 1:
+            self.fail(f"expected '{form}', got {line!r}")
+        return fields
+
+    def key_value(self, line: str) -> tuple[str, str]:
+        key, sep, value = line.partition("=")
+        if not sep:
+            self.fail(f"expected key=value, got {line!r}")
+        return key.strip(), value.strip()
+
+    def number(
+        self,
+        text: str,
+        what: str,
+        kind: type = float,
+        low: float = -math.inf,
+        high: float = math.inf,
+    ) -> float:
+        """``text`` parsed by ``kind`` (int or float); it must be finite and
+        in [low, high]."""
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high or value in (math.inf, -math.inf):
+            self.fail(f"bad {what} {text!r}: expected a finite {kind.__name__} in [{low}, {high}]")
+        return value
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file: one pair per line, gloss TAB english.
 
-    Lines starting with "#" and blank lines are skipped.
+    Blank lines and lines whose first non-blank character is "#" are
+    skipped.
     """
-    path = Path(path)
+    reader = RecordReader(path, CorpusFormatError, comments=True)
     pairs: list[SentencePair] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 'gloss<TAB>english', got {line!r}"
-                )
-            sign_side = tokenize_asl(fields[0])
-            english_side = tokenize_english(fields[1])
-            if not len(sign_side) or not len(english_side):
-                raise CorpusFormatError(f"{path}:{lineno}: empty side in {line!r}")
-            pairs.append(SentencePair(len(pairs) + 1, sign_side, english_side))
-    return Corpus(tuple(pairs), provenance=str(path))
+    for line in reader:
+        gloss, english = reader.split(line, "gloss<TAB>english")
+        try:
+            sign_side = tokenize_asl(gloss)
+        except MalformedGlossError as exc:
+            reader.fail(str(exc))
+        english_side = tokenize_english(english)
+        if not len(sign_side) or not len(english_side):
+            reader.fail(f"empty side in {line!r}")
+        pairs.append(SentencePair(len(pairs) + 1, sign_side, english_side))
+    return Corpus(tuple(pairs), provenance=str(reader.path))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

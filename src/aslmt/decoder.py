@@ -52,8 +52,8 @@ class DecoderConfig:
     literal_log_sum: bool = False
 
     def __post_init__(self) -> None:
-        if self.lm_weight < 0:
-            raise ValueError("lm_weight must be >= 0")
+        if not math.isfinite(self.lm_weight) or self.lm_weight < 0:
+            raise ValueError("lm_weight must be finite and >= 0")
         if self.max_queue_size < 1:
             raise ValueError("max_queue_size must be >= 1")
         if self.fanout < 1:

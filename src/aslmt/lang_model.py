@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import COMMA, Corpus, TokenSequence, surfaces
+from .corpus import COMMA, Corpus, RecordReader, TokenSequence, surfaces
 from .errors import EmptyCorpusError, NgramFormatError
 
 # Reserved left-context padding token; never a surface token and never
@@ -26,7 +26,18 @@ DEFAULT_COMMA_BOOST = 2.0
 Window = tuple[str, ...]
 
 
-class NgramModel:
+class _ExtensionFold:
+    """Scores a complete sentence as the fold of ``extension_logprob``
+    over its tokens, which every language model here shares."""
+
+    def sequence_logprob(self, tokens: Sequence[str]) -> float:
+        total = 0.0
+        for i, token in enumerate(tokens):
+            total += self.extension_logprob(tokens[:i], token)
+        return total
+
+
+class NgramModel(_ExtensionFold):
     """Fixed-order n-gram model over padded windows.
 
     Probabilities are conditional: count(window) divided by the total
@@ -69,12 +80,6 @@ class NgramModel:
         context = (PAD_TOKEN,) * (context_len - len(tail)) + tail
         return math.log(self.probs.get(context + (token,), self.floor_prob))
 
-    def sequence_logprob(self, tokens: Sequence[str]) -> float:
-        total = 0.0
-        for i, token in enumerate(tokens):
-            total += self.extension_logprob(tokens[:i], token)
-        return total
-
 
 def english_logprob(model: NgramModel, sentence: TokenSequence | Sequence[str]) -> float:
     """log P(sentence) under the n-gram model: one window per token, with
@@ -108,28 +113,15 @@ def load_ngram_file(
 ) -> NgramModel:
     """Read an n-gram frequency file: one record per line, a decimal count,
     a TAB, then the n space-separated tokens. Duplicate windows sum."""
-    path = Path(path)
+    reader = RecordReader(path, NgramFormatError)
     counts: dict[Window, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise NgramFormatError(f"{path}:{lineno}: expected 'count<TAB>tokens'")
-            try:
-                count = int(fields[0])
-            except ValueError:
-                raise NgramFormatError(f"{path}:{lineno}: bad count {fields[0]!r}") from None
-            if count <= 0:
-                raise NgramFormatError(f"{path}:{lineno}: count must be positive")
-            window = tuple(fields[1].split())
-            if len(window) != order:
-                raise NgramFormatError(
-                    f"{path}:{lineno}: expected {order} tokens, got {len(window)}"
-                )
-            counts[window] = counts.get(window, 0) + count
+    for line in reader:
+        count_str, tokens = reader.split(line, "count<TAB>tokens")
+        count = reader.number(count_str, "count", int, low=1)
+        window = tuple(tokens.split())
+        if len(window) != order:
+            reader.fail(f"expected {order} tokens, got {len(window)}")
+        counts[window] = counts.get(window, 0) + count
     return NgramModel(order, counts, floor_prob)
 
 
@@ -139,7 +131,7 @@ def save_ngram_file(model: NgramModel, path: str | Path) -> None:
             handle.write(f"{model.counts[window]}\t{' '.join(window)}\n")
 
 
-class AslUnigramModel:
+class AslUnigramModel(_ExtensionFold):
     """Unigram model over signs with a comma-neighbor adjustment.
 
     Every sign-side token (including gestures and commas) gets a relative
@@ -179,12 +171,6 @@ class AslUnigramModel:
             delta -= math.log(self.comma_boost)
         return delta
 
-    def sequence_logprob(self, tokens: Sequence[str]) -> float:
-        total = 0.0
-        for i, token in enumerate(tokens):
-            total += self.extension_logprob(tokens[:i], token)
-        return total
-
 
 def build_asl_model(
     corpus: Corpus,
@@ -214,20 +200,19 @@ def save_asl_model(model: AslUnigramModel, path: str | Path) -> None:
 
 
 def load_asl_model(path: str | Path) -> AslUnigramModel:
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split()
-        if len(header) != 5 or header[0] != "asl_unigram" or header[1] != "comma_boost":
-            raise NgramFormatError(f"{path}: bad ASL model header")
-        comma_boost = float(header[2])
-        floor_prob = float(header[4])
-        counts: dict[str, int] = {}
-        for lineno, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise NgramFormatError(f"{path}:{lineno}: expected 'count<TAB>sign'")
-            counts[fields[1]] = counts.get(fields[1], 0) + int(fields[0])
-    return AslUnigramModel(counts, comma_boost, floor_prob)
+    reader = RecordReader(path, NgramFormatError)
+    lines = iter(reader)
+    header = next(lines, "").split()
+    if len(header) != 5 or header[:2] != ["asl_unigram", "comma_boost"] or header[3] != "floor_prob":
+        reader.fail("bad ASL model header")
+    comma_boost = reader.number(header[2], "comma_boost")
+    floor_prob = reader.number(header[4], "floor_prob")
+    counts: dict[str, int] = {}
+    for line in lines:
+        count_str, sign = reader.split(line, "count<TAB>sign")
+        counts[sign] = counts.get(sign, 0) + reader.number(count_str, "count", int, low=1)
+    try:
+        return AslUnigramModel(counts, comma_boost, floor_prob)
+    except ValueError as exc:
+        # Counts are checked above, so only the header values can be out of range.
+        raise NgramFormatError(f"{reader.path}:1: {exc}") from None

@@ -17,7 +17,7 @@ from aslmt.align_model import (
     translation_logprob,
 )
 from aslmt.corpus import Corpus, SentencePair, tokenize_asl, tokenize_english
-from aslmt.errors import EmptyCorpusError, EnumerationSizeError
+from aslmt.errors import EmptyCorpusError, EnumerationSizeError, TableFormatError
 
 from oracles import enumeration_em
 
@@ -115,7 +115,51 @@ class TestEmStep:
                 assert total == pytest.approx(1.0, abs=1e-9), e
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", 0),
+            ("convergence_tol", 0.0),
+            ("convergence_tol", math.nan),
+            ("convergence_tol", math.inf),
+            ("epsilon", 0.0),
+            ("epsilon", math.nan),
+        ],
+    )
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError):
+            EmConfig(**{field: value})
+
+
+def _raw_log_likelihood(corpus, table, direction):
+    """Closed-form training log-likelihood from the raw (unfloored) entries."""
+    total = 0.0
+    for pair in corpus:
+        if direction == SIGN_GIVEN_ENGLISH:
+            src, tgt = pair.sign_side.surfaces, pair.english_side.surfaces
+        else:
+            src, tgt = pair.english_side.surfaces, pair.sign_side.surfaces
+        total += math.log(table.epsilon) - len(src) * math.log(1 + len(tgt))
+        for s in src:
+            total += math.log(sum(table.t.get((s, e), 0.0) for e in (NULL, *tgt)))
+    return total
+
+
 class TestEmTrain:
+    @pytest.mark.parametrize("direction", [SIGN_GIVEN_ENGLISH, ENGLISH_GIVEN_SIGN])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5])
+    def test_log_likelihood_k_scores_kth_iterate(self, direction, epsilon):
+        corpus = _corpus(("A B", "x y"), ("A", "x"), ("B C ,", "y z"), ("C", "z w"))
+        result = em_train(corpus, EmConfig(max_iterations=12, convergence_tol=1e-12, epsilon=epsilon), direction)
+        assert len(result.log_likelihoods) == result.iterations + 1
+        table = init_uniform(corpus, direction, epsilon)
+        for k, log_likelihood in enumerate(result.log_likelihoods):
+            if k:
+                table = em_step(corpus, table)
+            assert log_likelihood == _raw_log_likelihood(corpus, table, direction), k
+        assert table.t == result.table.t
+
     def test_two_pair_disambiguation(self):
         # parameters approach the boundary like 1/k here, so the 1e-6
         # max-change tolerance is only reached after a few hundred steps
@@ -225,6 +269,26 @@ class TestTableSerialization:
         table.save(path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "direction english_given_sign epsilon 0.5"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("direction sign_given_english epsilon 1.0\ns\tNULL\tabc\n", ":2:", id="prob-abc"),
+            pytest.param("direction sign_given_english epsilon 1.0\ns\tNULL\tnan\n", ":2:", id="prob-nan"),
+            pytest.param("direction sign_given_english epsilon 1.0\ns\tNULL\t-0.25\n", ":2:", id="prob-negative"),
+            pytest.param("direction sign_given_english epsilon 1.0\ns\tNULL\t1.5\n", ":2:", id="prob-above-one"),
+            pytest.param("direction sign_given_english epsilon 1.0\ns\tNULL\n", ":2:", id="two-fields"),
+            pytest.param("direction sign_given_english epsilon 1.0\n\ns\tNULL\t0.5\nt\tNULL\tinf\n", ":4:", id="prob-inf-after-blank"),
+            pytest.param("direction sign_given_english epsilon abc\ns\tNULL\t1.0\n", ":1:", id="epsilon-abc"),
+            pytest.param("direction sideways epsilon 1.0\ns\tNULL\t1.0\n", ":1:", id="direction-unknown"),
+            pytest.param("direction sign_given_english\n", ":1:", id="header-short"),
+        ],
+    )
+    def test_bad_records_report_line(self, tmp_path, text, line):
+        path = tmp_path / "table.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TableFormatError, match=line):
+            TranslationTable.load(path)
 
     def test_null_written_literally(self, tmp_path):
         table = TranslationTable({("s", NULL): 1.0}, SIGN_GIVEN_ENGLISH)

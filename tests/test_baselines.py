@@ -21,6 +21,13 @@ def _unigram_model(counts):
     return NgramModel(1, {(w,): c for w, c in counts.items()})
 
 
+class TestHelperWords:
+    def test_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "helpers.txt"
+        path.write_text("# helpers\nthe\n\n  a  \n  # indented comment\nis\n", encoding="utf-8")
+        assert load_helper_words(path) == ("the", "a", "is")
+
+
 class TestBilingualLexicon:
     def test_derived_from_table(self):
         table = TranslationTable(

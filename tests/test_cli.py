@@ -244,6 +244,28 @@ class TestEvaluate:
         assert code == 1
 
 
+class TestModelFiles:
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            pytest.param("tm_sign_given_english.tsv", "direction sign_given_english epsilon 1.0\nX\tx\tabc\n", 2, id="table-prob"),
+            pytest.param("tm_english_given_sign.tsv", "direction english_given_sign epsilon one\n", 1, id="table-epsilon"),
+            pytest.param("lm_asl.tsv", "asl_unigram comma_boost 2.0 floor_prob 1e-07\nx\tX\n", 2, id="asl-count-x"),
+            pytest.param("lm_asl.tsv", "asl_unigram comma_boost 2.0 floor_prob 1e-07\n1\tX\n-1\tY\n", 3, id="asl-count-negative"),
+            pytest.param("lm_english.2.ngrams", "1\tx y\nmany\ty x\n", 2, id="ngram-count"),
+            pytest.param("train_config.txt", "unigram_cost_threshold=0.5\nepsilon\n", 2, id="train-config-no-equals"),
+        ],
+    )
+    def test_bad_model_file_is_data_error(self, tmp_path, capsys, identity_models, name, text, line):
+        (identity_models / name).write_text(text, encoding="utf-8")
+        corpus = _write_corpus(tmp_path / "t.txt", [("X", "x")])
+        code = main(
+            ["evaluate", str(corpus), "--models", str(identity_models), "--direction", "asl_to_eng"]
+        )
+        assert code == 2
+        assert f"{identity_models / name}:{line}:" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_default_grid_shapes(self, tmp_path, capsys, identity_models):
         corpus = _write_corpus(tmp_path / "dev.txt", [("X Y", "x y"), ("Y X", "y x")])
@@ -356,6 +378,58 @@ class TestUsageErrors:
     def test_missing_direction(self, tmp_path, capsys, identity_models):
         corpus = _write_corpus(tmp_path / "t.txt", [("X", "x")])
         assert main(["evaluate", str(corpus), "--models", str(identity_models)]) == 1
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("translate", ["--lm-weight", "-1"]),
+            ("translate", ["--lm-weight", "nan"]),
+            ("translate", ["--lm-weight", "inf"]),
+            ("translate", ["--queue-size", "0"]),
+            ("translate", ["--queue-size", "abc"]),
+            ("evaluate", ["--fanout", "0"]),
+            ("sweep", ["--queue-sizes", "0"]),
+            ("sweep", ["--queue-sizes", "4,x"]),
+            ("sweep", ["--lm-weights", "0.1,nan"]),
+            ("sweep", ["--lm-kinds", "bigram,pentagram"]),
+        ],
+    )
+    def test_bad_flag_values(self, tmp_path, capsys, identity_models, command, extra):
+        corpus = _write_corpus(tmp_path / "t.txt", [("X", "x")])
+        source = [] if command == "translate" else [str(corpus)]
+        code = main(
+            [command, *source, "--models", str(identity_models), "--direction", "asl_to_eng", *extra]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["queue_size=abc", "lm_weight=nan", "capped_brevity=maybe", "queue_sizes=", "direction"],
+    )
+    def test_bad_config_values(self, tmp_path, capsys, identity_models, line):
+        corpus = _write_corpus(tmp_path / "t.txt", [("X", "x")])
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# run settings\n\n{line}\n", encoding="utf-8")
+        code = main(
+            ["sweep", str(corpus), "--models", str(identity_models), "--config", str(config),
+             "--direction", "asl_to_eng"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        if line != "lm_weight=nan":
+            assert f"{config}:3:" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--em-tol", "nan"], ["--em-tol", "0"], ["--em-iterations", "0"], ["--comma-boost", "0.5"]],
+    )
+    def test_bad_train_values(self, tmp_path, capsys, extra):
+        corpus = _write_corpus(tmp_path / "c.txt", [("A", "a")])
+        assert main(["train", str(corpus), "--out", str(tmp_path / "m"), *extra]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_usage_checks_run_before_model_loading(self, tmp_path, capsys):
         corpus = _write_corpus(tmp_path / "t.txt", [("X", "x")])

@@ -209,6 +209,12 @@ class TestCorpusFiles:
         with pytest.raises(CorpusFormatError, match=":2:"):
             load_corpus(path)
 
+    def test_malformed_gloss_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("FELL\tHe fell.\nDOG [point\tthe dog\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r":2: unclosed gesture token '\[point'"):
+            load_corpus(path)
+
     def test_save_load_round_trip(self, tmp_path):
         original = load_corpus_text(
             tmp_path,

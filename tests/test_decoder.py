@@ -73,6 +73,14 @@ class TestPriority:
         with pytest.raises(ValueError):
             DecoderConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lm_weight", math.nan), ("lm_weight", math.inf), ("epsilon", math.nan), ("fanout", 0)],
+    )
+    def test_config_rejects_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError):
+            DecoderConfig(**{field: value})
+
 
 class TestExpand:
     def test_word_and_skip_counts(self):

@@ -123,6 +123,22 @@ class TestNgramFiles:
         with pytest.raises(NgramFormatError, match=":1:"):
             load_ngram_file(path, 2)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("3\tyou like\n0\tyou love\n", ":2:", id="count-zero"),
+            pytest.param("3\tyou like\n-2\tyou love\n", ":2:", id="count-negative"),
+            pytest.param("1.5\tyou like\n", ":1:", id="count-float"),
+            pytest.param("3\tyou like\textra\n", ":1:", id="three-fields"),
+            pytest.param("3\tyou like\n\n3 you love\n", ":3:", id="no-tab-after-blank"),
+        ],
+    )
+    def test_bad_records_report_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(NgramFormatError, match=line):
+            load_ngram_file(path, 2)
+
     def test_save_load_round_trip(self, tmp_path):
         corpus = Corpus(tuple(_pair(i + 1, f"S{i}", "you like sign language") for i in range(3)))
         model = build_english_model(corpus, 3)
@@ -203,7 +219,11 @@ class TestAslUnigramModel:
         vocab = ["X", "Y", "Z", "W", ",", "UNSEEN"]
         for _ in range(50):
             tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 7))]
-            plain = sum(math.log(model.unigram.get(t, model.floor_prob)) for t in tokens)
+            # A left-to-right fold, like the model's: sum() of floats is
+            # compensated from Python 3.12 on and can differ in the last bit.
+            plain = 0.0
+            for t in tokens:
+                plain += math.log(model.unigram.get(t, model.floor_prob))
             assert asl_logprob(model, tokens) == plain
 
     def test_adjustment_is_local_to_comma_neighbors(self):
@@ -225,3 +245,25 @@ class TestAslUnigramModel:
         assert reloaded.unigram == model.unigram
         assert reloaded.comma_boost == model.comma_boost
         assert reloaded.floor_prob == model.floor_prob
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 1e-07\nx\tA\n", ":2:", id="asl-count-x"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 1e-07\n1\tA\n0\tB\n", ":3:", id="asl-count-zero"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 1e-07\n1\tA\n-1\tB\n", ":3:", id="asl-count-negative"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 1e-07\n2.5\tA\n", ":2:", id="asl-count-float"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 1e-07\n1\tA\tB\n", ":2:", id="asl-three-fields"),
+            pytest.param("asl_unigram comma_boost abc floor_prob 1e-07\n1\tA\n", ":1:", id="asl-boost-abc"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob x\n1\tA\n", ":1:", id="asl-floor-x"),
+            pytest.param("asl_unigram comma_boost nan floor_prob 1e-07\n1\tA\n", ":1:", id="asl-boost-nan"),
+            pytest.param("asl_unigram comma_boost 0.5 floor_prob 1e-07\n1\tA\n", ":1:", id="asl-boost-below-one"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 0\n1\tA\n", ":1:", id="asl-floor-zero"),
+            pytest.param("asl_unigram comma_boost 2.0\n1\tA\n", ":1:", id="asl-header-short"),
+        ],
+    )
+    def test_bad_file_reports_line(self, tmp_path, text, line):
+        path = tmp_path / "asl.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(NgramFormatError, match=line):
+            load_asl_model(path)

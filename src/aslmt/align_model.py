@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Corpus, RecordReader, SentencePair, TokenSequence, surfaces
 from .errors import EmptyCorpusError, EnumerationSizeError, TableFormatError
@@ -34,6 +34,16 @@ DEFAULT_TABLE_FLOOR = 1e-9
 BRUTE_FORCE_LIMIT = 10**6
 
 TableKey = tuple[str, "str | None"]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum added strictly left to right. ``sum()`` is compensated
+    from Python 3.12 on, so its last bits (and every table and score built
+    on them) would depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class TranslationTable:
@@ -191,7 +201,7 @@ def alignment_posterior(
     rows = []
     for s in surfaces(source):
         values = _floored_row(table, s, tgt)
-        total = sum(values)
+        total = left_sum(values)
         rows.append(tuple(v / total for v in values))
     return AlignmentPosterior(tuple(rows))
 
@@ -209,7 +219,7 @@ def _em_update(corpus: Corpus, table: TranslationTable) -> tuple[TranslationTabl
         log_likelihood += log_epsilon - len(src) * math.log(1 + len(tgt))
         for s in src:
             row = [table.t.get((s, e), 0.0) for e in targets]
-            total = sum(row)
+            total = left_sum(row)
             log_likelihood += math.log(total)
             for e, value in zip(targets, row):
                 if value == 0.0:
@@ -273,7 +283,7 @@ def translation_logprob(
     tgt = surfaces(target)
     total = math.log(epsilon) - len(src) * math.log(1 + len(tgt))
     for s in src:
-        total += math.log(sum(_floored_row(table, s, tgt)))
+        total += math.log(left_sum(_floored_row(table, s, tgt)))
     return total
 
 

@@ -442,10 +442,17 @@ def cmd_translate(args: argparse.Namespace, opts: dict[str, object]) -> int:
             lines = handle.read().splitlines()
     else:
         lines = sys.stdin.read().splitlines()
-    for line in lines:
-        result = decode(tokenize(line), table, lm, config)
+    # A bad line is reported on stderr and skipped; the rest still decode.
+    failed = False
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            result = decode(tokenize(line), table, lm, config)
+        except AslmtError as exc:
+            print(_record("error", [("line", lineno), ("message", exc)]), file=sys.stderr)
+            failed = True
+            continue
         print(result.output.render())
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_evaluate(args: argparse.Namespace, opts: dict[str, object]) -> int:

@@ -234,7 +234,8 @@ class RecordReader:
     Iterating yields each line without its newline, skipping blank lines
     and, with ``comments``, lines whose first non-blank character is "#".
     ``lineno`` is the number of the line last yielded, and every error
-    raised through ``fail`` is an ``error`` prefixed with ``path:line``.
+    raised through ``fail`` is an ``error`` prefixed with ``path:line``;
+    a line that is not valid UTF-8 is reported that way too.
     """
 
     def __init__(self, path: str | Path, error: type[AslmtError], comments: bool = False) -> None:
@@ -244,9 +245,16 @@ class RecordReader:
         self.lineno = 0
 
     def __iter__(self) -> Iterator[str]:
-        with open(self.path, encoding="utf-8") as handle:
+        # Undecodable bytes become lone surrogates, which no valid UTF-8
+        # text contains, so the bad line is found and reported by number.
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as handle:
             for self.lineno, raw in enumerate(handle, start=1):
                 line = raw.rstrip("\n")
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        self.fail("not valid UTF-8")
                 if line.strip() and not (self.comments and line.lstrip().startswith("#")):
                     yield line
 

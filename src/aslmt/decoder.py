@@ -10,6 +10,14 @@ position is covered) or keeps it in the same queue (re-translating an
 already covered position, which is how one source token can yield several
 target words). The answer is the best hypothesis in the final queue.
 
+A queue with r pops left never pops an entry that r others rank ahead
+of, and entries only ever join a queue, so each queue keeps just its best
+r entries (the final queue, popped once, keeps one) and a child is scored
+before anything is built for it. This is exact: the search pops and
+returns the same hypotheses, with the same priorities, as one that keeps
+every child. Queued hypotheses are nodes that point to their parent; a
+full ``Hypothesis`` is built only for the winner.
+
 Priorities mix the two models: sum of per-step log translation
 probabilities plus ``lm_weight`` times the target-side language model log
 probability. A literal log-of-sum variant of the translation term is
@@ -19,14 +27,13 @@ within beams and makes no optimality guarantee.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Protocol, Sequence
+from bisect import insort
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Protocol, Sequence
 
-from .align_model import NULL, SIGN_GIVEN_ENGLISH, TranslationTable
+from .align_model import NULL, SIGN_GIVEN_ENGLISH, TranslationTable, left_sum
 from .corpus import Corpus, TokenSequence, asl_token, english_token, surfaces
 from .errors import NoTranslationError
 
@@ -96,10 +103,51 @@ def priority(hypothesis: Hypothesis, config: DecoderConfig) -> float:
     if not hypothesis.steps:
         return 0.0
     if config.literal_log_sum:
-        tm = math.log(sum(math.exp(step.tm_logprob) for step in hypothesis.steps))
+        tm = math.log(left_sum(math.exp(step.tm_logprob) for step in hypothesis.steps))
     else:
         tm = hypothesis.tm_score
     return tm + config.lm_weight * hypothesis.lm_score
+
+
+class _Options(NamedTuple):
+    """What one source position can emit: its top-``fanout`` target words
+    with their floored log t, and the log t of aligning it to NULL."""
+
+    words: tuple[tuple[str, float], ...]
+    null_logprob: float
+
+
+def _source_options(source: Sequence[str], table: TranslationTable, fanout: int) -> list[_Options]:
+    return [
+        _Options(
+            tuple(
+                (target, math.log(max(prob, table.floor)))
+                for target, prob in table.candidates(token)[:fanout]
+            ),
+            math.log(table.lookup(token, NULL)),
+        )
+        for token in source
+    ]
+
+
+def _children(
+    options: Sequence[_Options],
+    targets: tuple[str, ...],
+    lm_score: float,
+    covered: int,
+    word_counts: Sequence[int],
+    lm: LanguageModel,
+    max_words: int,
+) -> Iterator[tuple[int, str | None, float, float]]:
+    """Every single-step extension of a hypothesis, in push order, as
+    (source index, target word or None for a skip, log t, LM score).
+    ``covered`` is a bitmask of the covered source positions."""
+    for index, (words, null_logprob) in enumerate(options):
+        if word_counts[index] < max_words:
+            for target, tm_log in words:
+                yield index, target, tm_log, lm_score + lm.extension_logprob(targets, target)
+        if not covered >> index & 1:
+            yield index, None, null_logprob, lm_score
 
 
 def expand(
@@ -113,33 +161,49 @@ def expand(
     its top-``fanout`` candidate target words (allowed on already covered
     positions too, up to ``max_words_per_source`` words per position); for
     every uncovered position, also append a skip."""
-    out: list[Hypothesis] = []
-    word_counts = Counter(s.source_index for s in hypothesis.steps if s.target is not None)
-    for index, source_token in enumerate(source):
-        if word_counts[index] < config.max_words_per_source:
-            for target, prob in table.candidates(source_token)[: config.fanout]:
-                tm_log = math.log(max(prob, table.floor))
-                out.append(
-                    Hypothesis(
-                        hypothesis.steps + (Step(target, index, tm_log),),
-                        hypothesis.covered | {index},
-                        hypothesis.tm_score + tm_log,
-                        hypothesis.lm_score + lm.extension_logprob(hypothesis.targets, target),
-                        hypothesis.targets + (target,),
-                    )
-                )
-        if index not in hypothesis.covered:
-            tm_log = math.log(table.lookup(source_token, NULL))
-            out.append(
-                Hypothesis(
-                    hypothesis.steps + (Step(None, index, tm_log),),
-                    hypothesis.covered | {index},
-                    hypothesis.tm_score + tm_log,
-                    hypothesis.lm_score,
-                    hypothesis.targets,
-                )
-            )
-    return out
+    covered = 0
+    for index in hypothesis.covered:
+        covered |= 1 << index
+    word_counts = [0] * len(source)
+    for step in hypothesis.steps:
+        if step.target is not None:
+            word_counts[step.source_index] += 1
+    children = _children(
+        _source_options(source, table, config.fanout),
+        hypothesis.targets,
+        hypothesis.lm_score,
+        covered,
+        word_counts,
+        lm,
+        config.max_words_per_source,
+    )
+    return [
+        Hypothesis(
+            hypothesis.steps + (Step(target, index, tm_log),),
+            hypothesis.covered | {index},
+            hypothesis.tm_score + tm_log,
+            lm_score,
+            hypothesis.targets if target is None else hypothesis.targets + (target,),
+        )
+        for index, target, tm_log, lm_score in children
+    ]
+
+
+class _Node(NamedTuple):
+    """A hypothesis in a queue. Nodes sort in queue order, by (negated
+    priority, targets, push order); the steps are reached through
+    ``parent``."""
+
+    key: float
+    targets: tuple[str, ...]
+    order: int
+    parent: "_Node | None"
+    step: Step | None
+    tm_score: float
+    lm_score: float
+    exp_sum: float  # running sum of exp(log t), kept for literal_log_sum
+    covered: int  # bitmask of the covered source positions
+    word_counts: tuple[int, ...]  # target words emitted per source position
 
 
 def _make_output(targets: tuple[str, ...], table: TranslationTable) -> TokenSequence:
@@ -154,38 +218,99 @@ def decode(
     config: DecoderConfig,
 ) -> DecodeResult:
     """Beam search over coverage-indexed queues; deterministic, with ties
-    broken toward the lexicographically smaller rendered sentence."""
+    broken toward the lexicographically smaller rendered sentence.
+    ``expansions`` counts every child scored, kept or not."""
     src = surfaces(source)
     length = len(src)
     if length == 0:
         return DecodeResult(_make_output((), table), 0.0, 0, ())
 
-    queues: list[list] = [[] for _ in range(length + 1)]
-    tiebreak = itertools.count()
-
-    def push(hypothesis: Hypothesis) -> None:
-        queue_index = len(hypothesis.covered)
-        heapq.heappush(
-            queues[queue_index],
-            (-priority(hypothesis, config), hypothesis.targets, next(tiebreak), hypothesis),
-        )
-
-    push(EMPTY_HYPOTHESIS)
+    options = _source_options(src, table, config.fanout)
+    max_pops = config.max_queue_size
+    weight = config.lm_weight
+    literal = config.literal_log_sum
+    queues: list[list[_Node]] = [[] for _ in range(length + 1)]
+    queues[0].append(_Node(-0.0, (), 0, None, None, 0.0, 0.0, 0.0, 0, (0,) * length))
+    order = itertools.count(1)
     expansions = 0
     pops = [0] * length
     for index in range(length):
-        while pops[index] < config.max_queue_size and queues[index]:
-            _, _, _, hypothesis = heapq.heappop(queues[index])
+        queue = queues[index]
+        successor = queues[index + 1]
+        successor_cap = max_pops if index + 1 < length else 1
+        while pops[index] < max_pops and queue:
+            node = queue.pop(0)
             pops[index] += 1
-            for new_hypothesis in expand(hypothesis, src, table, lm, config):
+            queue_cap = max_pops - pops[index]
+            targets, tm_score, exp_sum = node.targets, node.tm_score, node.exp_sum
+            covered, word_counts = node.covered, node.word_counts
+            children = _children(
+                options, targets, node.lm_score, covered, word_counts, lm, config.max_words_per_source
+            )
+            for position, target, tm_log, lm_score in children:
                 expansions += 1
-                push(new_hypothesis)
+                child_tm = tm_score + tm_log
+                if literal:
+                    child_exp_sum = exp_sum + math.exp(tm_log)
+                    key = -(math.log(child_exp_sum) + weight * lm_score)
+                else:
+                    child_exp_sum = exp_sum
+                    key = -(child_tm + weight * lm_score)
+                child_covered = covered | 1 << position
+                if child_covered == covered:
+                    into, cap = queue, queue_cap
+                else:
+                    into, cap = successor, successor_cap
+                # A queue never holds more than the pops it has left. When it
+                # is full, a child scoring below its last entry could only be
+                # popped after ``cap`` others, so it is never popped; entries
+                # only ever join, so dropping it is exact. A tie on priority
+                # goes on to the full (priority, targets, order) comparison.
+                if len(into) == cap and (not cap or key > into[-1].key):
+                    continue
+                if target is None:
+                    child_targets, child_counts = targets, word_counts
+                else:
+                    child_targets = targets + (target,)
+                    child_counts = (
+                        word_counts[:position]
+                        + (word_counts[position] + 1,)
+                        + word_counts[position + 1 :]
+                    )
+                insort(
+                    into,
+                    _Node(
+                        key,
+                        child_targets,
+                        next(order),
+                        node,
+                        Step(target, position, tm_log),
+                        child_tm,
+                        lm_score,
+                        child_exp_sum,
+                        child_covered,
+                        child_counts,
+                    ),
+                )
+                if len(into) > cap:
+                    into.pop()
     if not queues[length]:
         raise NoTranslationError("final queue is empty; expansion was over-restricted")
-    _, _, _, best = heapq.heappop(queues[length])
+    best = queues[length][0]
+    steps = []
+    node = best
+    while node.step is not None:
+        steps.append(node.step)
+        node = node.parent
     # Re-score the language model on the complete sentence; this matches
     # the incrementally accumulated value.
-    final = replace(best, lm_score=lm.sequence_logprob(best.targets))
+    final = Hypothesis(
+        tuple(reversed(steps)),
+        frozenset(range(length)),
+        best.tm_score,
+        lm.sequence_logprob(best.targets),
+        best.targets,
+    )
     return DecodeResult(
         _make_output(final.targets, table),
         priority(final, config),

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here recomputes results from first principles (explicit
-enumeration) without reusing the search or update code under test; only
-model primitives (probability lookups, window scoring) are shared.
+enumeration, or a search without the decoder's shortcuts) without reusing
+the search or update code under test; only model primitives (probability
+lookups, window scoring) are shared.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -110,6 +112,69 @@ def best_priority_by_enumeration(source, table, lm, config):
 
     grow(frozenset(), {i: 0 for i in range(length)}, 0.0, ())
     return best
+
+
+def unbounded_beam_search(source, table, lm, config):
+    """The decoder's beam search done the plain way: every child is built
+    and pushed, and no queue is ever trimmed.
+
+    Queues are indexed by the number of covered source positions; each
+    non-final queue is popped at most ``max_queue_size`` times, in index
+    order, best (priority, targets, push order) first. A child appends one
+    of a position's top-``fanout`` words (at most ``max_words_per_source``
+    per position) or, for an uncovered position, a skip. The best entry of
+    the final queue is re-scored with the complete-sentence LM. Returns
+    (targets, priority, expansions, pops per queue), or None when the final
+    queue is empty.
+    """
+    length = len(source)
+    if not length:
+        return (), 0.0, 0, ()
+
+    def score(steps, tm_score, lm_score):
+        if config.literal_log_sum:
+            total = 0.0
+            for _, _, tm_log in steps:
+                total += math.exp(tm_log)
+            tm_score = math.log(total)
+        return tm_score + config.lm_weight * lm_score
+
+    queues = [[] for _ in range(length + 1)]
+    order = itertools.count()
+    queues[0].append((0.0, (), next(order), (), 0.0, 0.0))
+
+    def push(steps, tm_score, lm_score, targets):
+        covered = {index for _, index, _ in steps}
+        entry = (-score(steps, tm_score, lm_score), targets, next(order), steps, tm_score, lm_score)
+        heapq.heappush(queues[len(covered)], entry)
+
+    expansions = 0
+    pops = [0] * length
+    for queue_index in range(length):
+        while pops[queue_index] < config.max_queue_size and queues[queue_index]:
+            _, targets, _, steps, tm_score, lm_score = heapq.heappop(queues[queue_index])
+            pops[queue_index] += 1
+            covered = {index for _, index, _ in steps}
+            words = Counter(index for target, index, _ in steps if target is not None)
+            for index, token in enumerate(source):
+                if words[index] < config.max_words_per_source:
+                    for target, prob in table.candidates(token)[: config.fanout]:
+                        tm_log = math.log(max(prob, table.floor))
+                        expansions += 1
+                        push(
+                            steps + ((target, index, tm_log),),
+                            tm_score + tm_log,
+                            lm_score + lm.extension_logprob(targets, target),
+                            targets + (target,),
+                        )
+                if index not in covered:
+                    tm_log = math.log(table.lookup(token, None))
+                    expansions += 1
+                    push(steps + ((None, index, tm_log),), tm_score + tm_log, lm_score, targets)
+    if not queues[length]:
+        return None
+    _, targets, _, steps, tm_score, _ = heapq.heappop(queues[length])
+    return targets, score(steps, tm_score, lm.sequence_logprob(targets)), expansions, tuple(pops)
 
 
 def best_insertion_by_enumeration(skeleton, helpers, bigram):

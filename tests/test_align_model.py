@@ -142,7 +142,12 @@ def _raw_log_likelihood(corpus, table, direction):
             src, tgt = pair.english_side.surfaces, pair.sign_side.surfaces
         total += math.log(table.epsilon) - len(src) * math.log(1 + len(tgt))
         for s in src:
-            total += math.log(sum(table.t.get((s, e), 0.0) for e in (NULL, *tgt)))
+            # A left fold, as the model adds: sum() is compensated from
+            # Python 3.12 on and can differ in the last bit.
+            row_total = 0.0
+            for e in (NULL, *tgt):
+                row_total += table.t.get((s, e), 0.0)
+            total += math.log(row_total)
     return total
 
 

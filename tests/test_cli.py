@@ -156,6 +156,20 @@ class TestTranslate:
         assert code == 2
         assert "missing model file" in capsys.readouterr().err
 
+    def test_bad_line_is_reported_and_the_rest_translated(self, tmp_path, capsys, identity_models):
+        source = tmp_path / "in.txt"
+        source.write_text("X, Y\nX [point\nY\n", encoding="utf-8")
+        code = main(
+            ["translate", str(source), "--models", str(identity_models), "--direction", "asl_to_eng"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "x y\ny\n"
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("record=error line=2 message=")
+        assert "unclosed gesture" in errors[0]
+
     def test_reads_stdin_by_default(self, capsys, monkeypatch, identity_models):
         import io
 
@@ -264,6 +278,17 @@ class TestModelFiles:
         )
         assert code == 2
         assert f"{identity_models / name}:{line}:" in capsys.readouterr().err
+
+    def test_non_utf8_model_file_is_data_error(self, tmp_path, capsys, identity_models):
+        path = identity_models / "lm_english.1.ngrams"
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        corpus = _write_corpus(tmp_path / "t.txt", [("X", "x")])
+        code = main(
+            ["evaluate", str(corpus), "--models", str(identity_models), "--direction", "asl_to_eng"]
+        )
+        assert code == 2
+        lines = path.read_bytes().count(b"\n")
+        assert f"{path}:{lines}: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -215,6 +215,16 @@ class TestCorpusFiles:
         with pytest.raises(CorpusFormatError, match=r":2: unclosed gesture token '\[point'"):
             load_corpus(path)
 
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("FELL\tHe fell.\n\n".encode("utf-8") + b"DOG\tthe dog \xff\xfe\nCAT\tcat\n")
+        with pytest.raises(CorpusFormatError, match=r":3: not valid UTF-8"):
+            load_corpus(path)
+
+    def test_utf8_text_is_read(self, tmp_path):
+        corpus = load_corpus_text(tmp_path, "CAF\u00c9\tcaf\u00e9 cr\u00e8me\n")
+        assert corpus[0].english_side.surfaces == ("caf\u00e9", "cr\u00e8me")
+
     def test_save_load_round_trip(self, tmp_path):
         original = load_corpus_text(
             tmp_path,

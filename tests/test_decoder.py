@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -16,9 +17,9 @@ from aslmt.decoder import (
     priority,
     translate_corpus,
 )
-from aslmt.lang_model import NgramModel
+from aslmt.lang_model import PAD_TOKEN, NgramModel
 
-from oracles import best_priority_by_enumeration
+from oracles import best_priority_by_enumeration, unbounded_beam_search
 
 
 def _table(entries, floor=1e-9):
@@ -206,6 +207,80 @@ class TestDecode:
         table = _table({("KNOWN", "known"): 1.0})
         result = decode(["MYSTERY"], table, _uniform_lm(), DecoderConfig())
         assert result.output.surfaces == ()
+
+
+def _random_beam_instance(rng):
+    """Sources of up to five tokens over three signs, so that the queue
+    limits cut in; a unigram or bigram LM with random counts."""
+    signs = ["S0", "S1", "S2"]
+    words = ["wa", "wb", "wc", "wd"]
+    source = [rng.choice(signs) for _ in range(rng.randint(1, 5))]
+    entries = {}
+    for sign in signs:
+        entries[(sign, NULL)] = rng.uniform(0.01, 0.5)
+        for word in rng.sample(words, rng.randint(1, 4)):
+            entries[(sign, word)] = rng.uniform(0.05, 1.0)
+    order = rng.choice([1, 2])
+    counts = {}
+    for window in itertools.product([PAD_TOKEN, *words], repeat=order):
+        if PAD_TOKEN not in window[1:] and rng.random() < 0.5:
+            counts[window] = rng.randint(1, 5)
+    lm = NgramModel(order, counts) if counts else _uniform_lm()
+    config = DecoderConfig(
+        lm_weight=rng.choice([0.0, 0.1, 0.5, 1.0]),
+        max_queue_size=rng.randint(1, 6),
+        fanout=rng.randint(1, 3),
+        max_words_per_source=rng.randint(1, 3),
+        literal_log_sum=rng.random() < 0.5,
+    )
+    return source, _table(entries), lm, config
+
+
+class TestBeamExactness:
+    """The capped, score-first search returns exactly what the plain
+    search that builds and pushes every child returns."""
+
+    def _assert_matches_unbounded(self, source, table, lm, config):
+        result = decode(source, table, lm, config)
+        targets, best, expansions, pops = unbounded_beam_search(tuple(source), table, lm, config)
+        assert result.output.surfaces == targets
+        assert result.priority == best  # exact, not approximate
+        assert result.pops_per_queue == pops
+        assert result.expansions == expansions
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unbounded_search(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(40):
+            self._assert_matches_unbounded(*_random_beam_instance(rng))
+
+    def test_every_queue_size_and_scoring(self):
+        _, table, lm, _ = _random_beam_instance(random.Random(99))
+        source = ["S0", "S1", "S2", "S0", "S1"]
+        for queue_size in range(1, 7):
+            for literal in (False, True):
+                config = DecoderConfig(max_queue_size=queue_size, literal_log_sum=literal)
+                self._assert_matches_unbounded(source, table, lm, config)
+
+    def test_priority_tie_goes_to_smaller_targets(self):
+        # "b" from S is pushed before "a" from T at the same priority, into
+        # a queue popped once: "a" must still be the one popped.
+        table = _table({("S", "b"): 0.5, ("S", NULL): 0.001, ("T", "a"): 0.5, ("T", NULL): 0.001})
+        config = DecoderConfig(max_queue_size=1)
+        self._assert_matches_unbounded(["S", "T"], table, _uniform_lm(), config)
+        assert decode(["S", "T"], table, _uniform_lm(), config).output.surfaces == ("a", "b")
+
+    def test_full_tie_goes_to_first_pushed(self):
+        # "a" from S and "a" from T tie on priority and targets; the one
+        # pushed first (from S) is the only one popped. Popping the other
+        # would leave S open for "b", and the bigram LM prefers "a b".
+        table = _table(
+            {("S", "a"): 0.5, ("S", "b"): 0.4, ("S", NULL): 0.001, ("T", "a"): 0.5, ("T", NULL): 0.001}
+        )
+        lm = NgramModel(2, {(PAD_TOKEN, "a"): 1, ("a", "b"): 9, ("a", "a"): 1})
+        config = DecoderConfig(lm_weight=1.0, max_queue_size=1, fanout=2, max_words_per_source=1)
+        self._assert_matches_unbounded(["S", "T"], table, lm, config)
+        assert decode(["S", "T"], table, lm, config).output.surfaces == ("a", "a")
 
 
 class TestTranslateCorpus:

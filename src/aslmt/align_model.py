@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -206,30 +207,90 @@ def alignment_posterior(
     return AlignmentPosterior(tuple(rows))
 
 
-def _em_update(corpus: Corpus, table: TranslationTable) -> tuple[TranslationTable, float]:
-    """One EM update, and the raw (unfloored) training log-likelihood of
-    the input table, summed from the same per-position row totals."""
-    counts: dict[TableKey, float] = {}
-    column_totals: dict[str | None, float] = {}
+# The slot of a cell whose key the table lacks: the trailing 0.0 of every
+# slot value list.
+_MISSING = -1
+
+
+class _EmPlan:
+    """The corpus compiled against one table's keys, so that every EM
+    iteration reads and writes flat lists instead of hashing keys.
+
+    Each table key the corpus touches gets a slot, in the order the
+    E-step first meets it; that is the insertion order of a dict of
+    counts, so tables built from slots keep the same key order. Each slot
+    records the column of its target word. Each pair keeps its constant
+    log-likelihood term, its target columns (NULL first) and, per source
+    position, the slots of its row.
+    """
+
+    def __init__(self, corpus: Corpus, table: TranslationTable) -> None:
+        slot_of: dict[TableKey, int] = {}
+        column_of: dict[str | None, int] = {}
+        columns: list[int] = []
+        pairs = []
+        log_epsilon = math.log(table.epsilon)
+        for pair in corpus:
+            src, tgt = _pair_sides(pair, table.direction)
+            targets = (NULL, *tgt)
+            target_columns = tuple(column_of.setdefault(e, len(column_of)) for e in targets)
+            rows = []
+            for s in src:
+                row = []
+                for e, column in zip(targets, target_columns):
+                    key = (s, e)
+                    slot = slot_of.get(key)
+                    if slot is None:
+                        if key not in table.t:
+                            row.append(_MISSING)
+                            continue
+                        slot = slot_of[key] = len(columns)
+                        columns.append(column)
+                    row.append(slot)
+                rows.append(tuple(row))
+            constant = log_epsilon - len(src) * math.log(1 + len(tgt))
+            pairs.append((constant, target_columns, tuple(rows)))
+        self.keys = tuple(slot_of)
+        self.columns = tuple(columns)
+        self.column_count = len(column_of)
+        self.pairs = tuple(pairs)
+        self.start = [table.t[key] for key in self.keys] + [0.0]
+        self.direction = table.direction
+        self.epsilon = table.epsilon
+        self.floor = table.floor
+
+    def table(self, inputs: list[float], outputs: list[float]) -> TranslationTable:
+        """The table an update of ``inputs`` produced: the keys it touched
+        with a non-zero value, holding ``outputs``."""
+        t = {key: new for key, old, new in zip(self.keys, inputs, outputs) if old != 0.0}
+        return TranslationTable(t, self.direction, self.epsilon, self.floor)
+
+
+def _em_update(plan: _EmPlan, values: list[float]) -> tuple[list[float], float]:
+    """One EM update of the slot values, and the raw (unfloored) training
+    log-likelihood of the input, summed from the same row totals."""
+    counts = [0.0] * len(values)
+    column_totals = [0.0] * plan.column_count
     log_likelihood = 0.0
-    log_epsilon = math.log(table.epsilon)
-    for pair in corpus:
-        src, tgt = _pair_sides(pair, table.direction)
-        targets: list[str | None] = [NULL, *tgt]
-        log_likelihood += log_epsilon - len(src) * math.log(1 + len(tgt))
-        for s in src:
-            row = [table.t.get((s, e), 0.0) for e in targets]
+    log = math.log
+    for constant, target_columns, rows in plan.pairs:
+        log_likelihood += constant
+        for slots in rows:
+            row = [values[slot] for slot in slots]
             total = left_sum(row)
-            log_likelihood += math.log(total)
-            for e, value in zip(targets, row):
+            log_likelihood += log(total)
+            for slot, column, value in zip(slots, target_columns, row):
                 if value == 0.0:
                     continue
                 weight = value / total
-                key = (s, e)
-                counts[key] = counts.get(key, 0.0) + weight
-                column_totals[e] = column_totals.get(e, 0.0) + weight
-    new_t = {key: c / column_totals[key[1]] for key, c in counts.items()}
-    return TranslationTable(new_t, table.direction, table.epsilon, table.floor), log_likelihood
+                counts[slot] += weight
+                column_totals[column] += weight
+    updated = [
+        count / column_totals[column] if value != 0.0 else 0.0
+        for count, column, value in zip(counts, plan.columns, values)
+    ]
+    updated.append(0.0)
+    return updated, log_likelihood
 
 
 def em_step(corpus: Corpus, table: TranslationTable) -> TranslationTable:
@@ -239,7 +300,8 @@ def em_step(corpus: Corpus, table: TranslationTable) -> TranslationTable:
     positions (NULL first) proportionally to the current t values.
     M-step: renormalize the accumulated counts per target column.
     """
-    return _em_update(corpus, table)[0]
+    plan = _EmPlan(corpus, table)
+    return plan.table(plan.start, _em_update(plan, plan.start)[0])
 
 
 def em_train(corpus: Corpus, config: EmConfig, direction: str) -> EmResult:
@@ -247,26 +309,29 @@ def em_train(corpus: Corpus, config: EmConfig, direction: str) -> EmResult:
     absolute change in any t entry drops below the tolerance or the
     iteration cap is hit.
 
-    ``log_likelihoods[k]`` is the raw training log-likelihood of the k-th
-    table (0 is the uniform start). Each update yields it for its input
-    table, so one more E-step scores the final table.
+    The corpus is compiled to slots once (``_EmPlan``) and every
+    iteration runs on flat value lists, with the same float operations
+    in the same order as a dict-based update, so the tables are bit for
+    bit those of repeated ``em_step`` calls. ``log_likelihoods[k]`` is
+    the raw training log-likelihood of the k-th table (0 is the uniform
+    start). Each update yields it for its input table, so one more
+    E-step scores the final table.
     """
-    table = init_uniform(corpus, direction, config.epsilon)
+    plan = _EmPlan(corpus, init_uniform(corpus, direction, config.epsilon))
+    values = plan.start
     log_likelihoods = []
     iterations = 0
     for _ in range(config.max_iterations):
-        updated, log_likelihood = _em_update(corpus, table)
+        updated, log_likelihood = _em_update(plan, values)
         log_likelihoods.append(log_likelihood)
         iterations += 1
-        delta = max(
-            abs(updated.t.get(key, 0.0) - table.t.get(key, 0.0))
-            for key in set(table.t) | set(updated.t)
-        )
-        table = updated
+        # A dropped key's slot holds 0.0, as ``t.get(key, 0.0)`` would read it.
+        delta = max(map(abs, map(operator.sub, updated, values)))
+        previous, values = values, updated
         if delta < config.convergence_tol:
             break
-    log_likelihoods.append(_em_update(corpus, table)[1])
-    return EmResult(table, iterations, tuple(log_likelihoods))
+    log_likelihoods.append(_em_update(plan, values)[1])
+    return EmResult(plan.table(previous, values), iterations, tuple(log_likelihoods))
 
 
 def translation_logprob(

@@ -38,6 +38,7 @@ from .corpus import (
     SentencePair,
     TokenSequence,
     filter_subset,
+    is_utf8,
     load_corpus,
     save_corpus,
     split_dataset,
@@ -430,6 +431,19 @@ def cmd_train(args: argparse.Namespace, opts: dict[str, object]) -> int:
     return 0
 
 
+def _input_lines(path: str | None) -> list[str]:
+    """The lines of ``path`` or of stdin, read as UTF-8 with undecodable
+    bytes kept as lone surrogates, so that one bad line can be reported
+    without losing the others."""
+    if path:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            return handle.read().splitlines()
+    stdin = getattr(sys.stdin, "buffer", None)
+    if stdin is None:  # a text stream with no bytes under it, such as io.StringIO
+        return sys.stdin.read().splitlines()
+    return stdin.read().decode("utf-8", "surrogateescape").splitlines()
+
+
 def cmd_translate(args: argparse.Namespace, opts: dict[str, object]) -> int:
     direction = _require_direction(opts)
     lm_kind = _resolve_lm_kind(direction, opts["lm_kind"])
@@ -437,15 +451,12 @@ def cmd_translate(args: argparse.Namespace, opts: dict[str, object]) -> int:
     models = ModelSet.load(args.models)
     table, lm = _select_models(models, direction, lm_kind, args.english_ngrams)
     tokenize = tokenize_asl if direction == ASL_TO_ENG else tokenize_english
-    if args.input:
-        with open(args.input, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
     # A bad line is reported on stderr and skipped; the rest still decode.
     failed = False
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_input_lines(args.input), start=1):
         try:
+            if not is_utf8(line):
+                raise AslmtError("not valid UTF-8")
             result = decode(tokenize(line), table, lm, config)
         except AslmtError as exc:
             print(_record("error", [("line", lineno), ("message", exc)]), file=sys.stderr)

@@ -228,6 +228,19 @@ def filter_subset(corpus: Corpus, predicate: str) -> Corpus:
     return Corpus(kept, corpus.provenance)
 
 
+def is_utf8(text: str) -> bool:
+    """False for text decoded with ``surrogateescape`` from bytes that are
+    not valid UTF-8: they became lone surrogates, which valid UTF-8 text
+    never contains."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class RecordReader:
     """Line-numbered reader behind every file loader in the package.
 
@@ -245,16 +258,13 @@ class RecordReader:
         self.lineno = 0
 
     def __iter__(self) -> Iterator[str]:
-        # Undecodable bytes become lone surrogates, which no valid UTF-8
-        # text contains, so the bad line is found and reported by number.
+        # Undecodable bytes become lone surrogates (see is_utf8), so the
+        # bad line is found and reported by number.
         with open(self.path, encoding="utf-8", errors="surrogateescape") as handle:
             for self.lineno, raw in enumerate(handle, start=1):
                 line = raw.rstrip("\n")
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError:
-                        self.fail("not valid UTF-8")
+                if not is_utf8(line):
+                    self.fail("not valid UTF-8")
                 if line.strip() and not (self.comments and line.lstrip().startswith("#")):
                     yield line
 

@@ -26,6 +26,12 @@ DEFAULT_COMMA_BOOST = 2.0
 Window = tuple[str, ...]
 
 
+def _check_floor(floor_prob: float) -> None:
+    # A floor above 1 would score an unseen token above a certain one.
+    if not 0 < floor_prob <= 1:
+        raise ValueError(f"floor_prob must be in (0, 1], got {floor_prob!r}")
+
+
 class _ExtensionFold:
     """Scores a complete sentence as the fold of ``extension_logprob``
     over its tokens, which every language model here shares."""
@@ -53,8 +59,7 @@ class NgramModel(_ExtensionFold):
     ) -> None:
         if not 1 <= order <= 5:
             raise ValueError(f"order must be in 1..5, got {order}")
-        if floor_prob <= 0:
-            raise ValueError("floor_prob must be positive")
+        _check_floor(floor_prob)
         self.order = order
         self.floor_prob = floor_prob
         self.counts: dict[Window, int] = {}
@@ -151,8 +156,7 @@ class AslUnigramModel(_ExtensionFold):
             raise EmptyCorpusError("ASL unigram model needs at least one sign")
         if not math.isfinite(comma_boost) or comma_boost < 1.0:
             raise ValueError("comma_boost must be finite and >= 1")
-        if floor_prob <= 0:
-            raise ValueError("floor_prob must be positive")
+        _check_floor(floor_prob)
         self.counts = dict(counts)
         self.comma_boost = comma_boost
         self.floor_prob = floor_prob

@@ -14,15 +14,12 @@ import math
 from collections import Counter
 
 
-def enumeration_em(pairs, iterations):
-    """EM over a toy parallel corpus with the E-step done by enumerating
-    every alignment vector and weighting it by its joint probability.
+def uniform_start(pairs):
+    """The t(s, e) dict EM starts from, with None as the NULL target:
+    uniform per target column over co-occurring source tokens, and
+    uniform over the whole source vocabulary for NULL.
 
-    ``pairs`` is a list of (source_tokens, target_tokens) tuples. Returns
-    the t(s, e) dict after the given number of iterations, with None as
-    the NULL target. Initialization is uniform per target column over
-    co-occurring source tokens, and uniform over the whole source
-    vocabulary for NULL.
+    ``pairs`` is a list of (source_tokens, target_tokens) tuples.
     """
     source_vocab: dict[str, None] = {}
     support: dict[str, dict[str, None]] = {}
@@ -39,7 +36,18 @@ def enumeration_em(pairs, iterations):
             t[(s, e)] = 1.0 / len(bucket)
     for s in source_vocab:
         t[(s, None)] = 1.0 / len(source_vocab)
+    return t
 
+
+def enumeration_em(pairs, iterations):
+    """EM over a toy parallel corpus with the E-step done by enumerating
+    every alignment vector and weighting it by its joint probability.
+
+    ``pairs`` is a list of (source_tokens, target_tokens) tuples. Returns
+    the t(s, e) dict after the given number of iterations, starting from
+    ``uniform_start``.
+    """
+    t = uniform_start(pairs)
     for _ in range(iterations):
         counts: dict[tuple[str, str | None], float] = {}
         for src, tgt in pairs:
@@ -62,6 +70,56 @@ def enumeration_em(pairs, iterations):
             column_totals[e] = column_totals.get(e, 0.0) + c
         t = {key: c / column_totals[key[1]] for key, c in counts.items()}
     return t
+
+
+def dict_em_update(pairs, t, epsilon):
+    """One EM update keyed by (s, e) dicts, and the raw log-likelihood of
+    ``t``, with every float operation in corpus order.
+
+    Per source position, the row t(s, NULL), t(s, e_1), ... is summed
+    left to right; each non-zero cell adds value / row total to its
+    key's count and to its target's column total, and the new table is
+    each count over its column total. Keys in the order first counted.
+    """
+    counts: dict[tuple[str, str | None], float] = {}
+    column_totals: dict[str | None, float] = {}
+    log_likelihood = 0.0
+    for src, tgt in pairs:
+        targets = [None, *tgt]
+        log_likelihood += math.log(epsilon) - len(src) * math.log(1 + len(tgt))
+        for s in src:
+            row = [t.get((s, e), 0.0) for e in targets]
+            total = 0.0
+            for value in row:
+                total += value
+            log_likelihood += math.log(total)
+            for e, value in zip(targets, row):
+                if value == 0.0:
+                    continue
+                weight = value / total
+                counts[(s, e)] = counts.get((s, e), 0.0) + weight
+                column_totals[e] = column_totals.get(e, 0.0) + weight
+    return {key: c / column_totals[key[1]] for key, c in counts.items()}, log_likelihood
+
+
+def dict_em_train(pairs, epsilon, max_iterations, tolerance):
+    """``dict_em_update`` from ``uniform_start`` until no entry moves by
+    ``tolerance`` (a missing key reads 0.0) or ``max_iterations`` runs.
+    Returns the final t, the iteration count, and the log-likelihood of
+    every table from the start to the final one."""
+    t = uniform_start(pairs)
+    log_likelihoods = []
+    iterations = 0
+    for _ in range(max_iterations):
+        updated, log_likelihood = dict_em_update(pairs, t, epsilon)
+        log_likelihoods.append(log_likelihood)
+        iterations += 1
+        delta = max(abs(updated.get(k, 0.0) - t.get(k, 0.0)) for k in set(t) | set(updated))
+        t = updated
+        if delta < tolerance:
+            break
+    log_likelihoods.append(dict_em_update(pairs, t, epsilon)[1])
+    return t, iterations, tuple(log_likelihoods)
 
 
 def best_priority_by_enumeration(source, table, lm, config):

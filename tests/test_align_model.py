@@ -19,7 +19,7 @@ from aslmt.align_model import (
 from aslmt.corpus import Corpus, SentencePair, tokenize_asl, tokenize_english
 from aslmt.errors import EmptyCorpusError, EnumerationSizeError, TableFormatError
 
-from oracles import enumeration_em
+from oracles import dict_em_train, dict_em_update, enumeration_em
 
 
 def _corpus(*pairs_text):
@@ -28,6 +28,12 @@ def _corpus(*pairs_text):
         for i, (gloss, english) in enumerate(pairs_text)
     )
     return Corpus(pairs)
+
+
+def _sides(corpus, direction):
+    if direction == SIGN_GIVEN_ENGLISH:
+        return [(p.sign_side.surfaces, p.english_side.surfaces) for p in corpus]
+    return [(p.english_side.surfaces, p.sign_side.surfaces) for p in corpus]
 
 
 def _column_sums(table):
@@ -135,11 +141,7 @@ class TestEmConfig:
 def _raw_log_likelihood(corpus, table, direction):
     """Closed-form training log-likelihood from the raw (unfloored) entries."""
     total = 0.0
-    for pair in corpus:
-        if direction == SIGN_GIVEN_ENGLISH:
-            src, tgt = pair.sign_side.surfaces, pair.english_side.surfaces
-        else:
-            src, tgt = pair.english_side.surfaces, pair.sign_side.surfaces
+    for src, tgt in _sides(corpus, direction):
         total += math.log(table.epsilon) - len(src) * math.log(1 + len(tgt))
         for s in src:
             # A left fold, as the model adds: sum() is compensated from
@@ -196,6 +198,75 @@ class TestEmTrain:
         for direction in (SIGN_GIVEN_ENGLISH, ENGLISH_GIVEN_SIGN):
             result = em_train(TWO_PAIR, EmConfig(max_iterations=5), direction)
             assert result.table.direction == direction
+
+
+def _random_corpus(rng):
+    """Up to eight pairs over small vocabularies, so tokens repeat within
+    and across sentences."""
+    return _corpus(*[
+        (
+            " ".join(rng.choice("ABCDEF") for _ in range(rng.randint(1, 5))),
+            " ".join(rng.choice("vwxyz") for _ in range(rng.randint(1, 5))),
+        )
+        for _ in range(rng.randint(1, 8))
+    ])
+
+
+class TestEmExactness:
+    """The slot-compiled EM against a dict-keyed update in corpus order:
+    same table (key order included), log-likelihoods and iterations, bit
+    for bit."""
+
+    @pytest.mark.parametrize("direction", [SIGN_GIVEN_ENGLISH, ENGLISH_GIVEN_SIGN])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5])
+    def test_em_train_matches_dict_em(self, direction, epsilon):
+        rng = random.Random(f"{direction}-{epsilon}")
+        repeated = 0
+        for _ in range(25):
+            corpus = _random_corpus(rng)
+            pairs = _sides(corpus, direction)
+            repeated += sum(len(set(src)) < len(src) for src, _ in pairs)
+            config = EmConfig(
+                max_iterations=rng.choice([1, 7, 100]),
+                convergence_tol=rng.choice([1e-2, 1e-4, 1e-9]),
+                epsilon=epsilon,
+            )
+            result = em_train(corpus, config, direction)
+            t, iterations, log_likelihoods = dict_em_train(
+                pairs, epsilon, config.max_iterations, config.convergence_tol
+            )
+            assert list(result.table.t.items()) == list(t.items())
+            assert result.log_likelihoods == log_likelihoods
+            assert result.iterations == iterations
+        assert repeated
+
+    @pytest.mark.parametrize("direction", [SIGN_GIVEN_ENGLISH, ENGLISH_GIVEN_SIGN])
+    def test_em_step_matches_dict_update(self, direction):
+        rng = random.Random(direction)
+        for _ in range(20):
+            corpus = _random_corpus(rng)
+            pairs = _sides(corpus, direction)
+            table = init_uniform(corpus, direction, 0.5)
+            for _ in range(3):
+                expected, _ = dict_em_update(pairs, table.t, 0.5)
+                table = em_step(corpus, table)
+                assert list(table.t.items()) == list(expected.items())
+
+    def test_em_step_on_partial_table(self):
+        corpus = _corpus(("A B A", "x y"), ("B C", "y z x"), ("C", "z"))
+        t = init_uniform(corpus, SIGN_GIVEN_ENGLISH, 0.5).t
+        del t[("A", "y")], t[("C", "x")], t[("B", NULL)]
+        t[("B", "z")] = 0.0
+        t[("Q", "x")] = 0.25
+        table = TranslationTable(t, SIGN_GIVEN_ENGLISH, 0.5)
+        updated = em_step(corpus, table)
+        expected, _ = dict_em_update(_sides(corpus, SIGN_GIVEN_ENGLISH), t, 0.5)
+        assert list(updated.t.items()) == list(expected.items())
+        for key in [("A", "y"), ("C", "x"), ("B", NULL), ("B", "z"), ("Q", "x")]:
+            assert key not in updated.t
+        assert (updated.direction, updated.epsilon, updated.floor) == (
+            table.direction, table.epsilon, table.floor
+        )
 
 
 def _random_instance(rng):

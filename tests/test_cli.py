@@ -170,6 +170,30 @@ class TestTranslate:
         assert errors[0].startswith("record=error line=2 message=")
         assert "unclosed gesture" in errors[0]
 
+    def test_non_utf8_line_is_reported_and_the_rest_translated(self, tmp_path, capsys, identity_models):
+        source = tmp_path / "in.txt"
+        source.write_bytes(b"X, Y\n\xff\nY\n")
+        code = main(
+            ["translate", str(source), "--models", str(identity_models), "--direction", "asl_to_eng"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "x y\ny\n"
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("record=error line=2 message=")
+        assert errors[0].endswith("not valid UTF-8")
+
+    def test_non_utf8_stdin_line_is_reported(self, capsys, monkeypatch, identity_models):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"X\nY \xfe\nY\n"), encoding="utf-8"))
+        code = main(["translate", "--models", str(identity_models), "--direction", "asl_to_eng"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "x\ny\n"
+        assert captured.err.startswith("record=error line=2 message=")
+
     def test_reads_stdin_by_default(self, capsys, monkeypatch, identity_models):
         import io
 
@@ -266,6 +290,7 @@ class TestModelFiles:
             pytest.param("tm_english_given_sign.tsv", "direction english_given_sign epsilon one\n", 1, id="table-epsilon"),
             pytest.param("lm_asl.tsv", "asl_unigram comma_boost 2.0 floor_prob 1e-07\nx\tX\n", 2, id="asl-count-x"),
             pytest.param("lm_asl.tsv", "asl_unigram comma_boost 2.0 floor_prob 1e-07\n1\tX\n-1\tY\n", 3, id="asl-count-negative"),
+            pytest.param("lm_asl.tsv", "asl_unigram comma_boost 2.0 floor_prob 5.0\n1\tX\n", 1, id="asl-floor-above-one"),
             pytest.param("lm_english.2.ngrams", "1\tx y\nmany\ty x\n", 2, id="ngram-count"),
             pytest.param("train_config.txt", "unigram_cost_threshold=0.5\nepsilon\n", 2, id="train-config-no-equals"),
         ],

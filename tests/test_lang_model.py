@@ -89,6 +89,15 @@ class TestNgramModel:
         with pytest.raises(ValueError):
             NgramModel(2, {("too", "many", "tokens"): 1})
 
+    @pytest.mark.parametrize("floor_prob", [0.0, -1e-7, 1.5, 5.0, math.nan, math.inf])
+    def test_floor_must_be_a_probability(self, floor_prob):
+        with pytest.raises(ValueError):
+            NgramModel(1, {("a",): 1}, floor_prob)
+
+    def test_floor_of_one_scores_zero(self):
+        model = NgramModel(1, {("a",): 1}, floor_prob=1.0)
+        assert model.extension_logprob((), "zebra") == 0.0
+
 
 class TestNgramFiles:
     def test_conditional_normalization(self, tmp_path):
@@ -170,6 +179,11 @@ class TestAslUnigramModel:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             build_asl_model(Corpus(()))
+
+    @pytest.mark.parametrize("floor_prob", [0.0, -1e-7, 1.5, 5.0, math.nan, math.inf])
+    def test_floor_must_be_a_probability(self, floor_prob):
+        with pytest.raises(ValueError):
+            AslUnigramModel({"A": 1}, floor_prob=floor_prob)
 
     def test_no_commas_plain_unigram_sum(self):
         corpus = Corpus((_pair(1, "A A B", "x"),))
@@ -259,6 +273,7 @@ class TestAslUnigramModel:
             pytest.param("asl_unigram comma_boost nan floor_prob 1e-07\n1\tA\n", ":1:", id="asl-boost-nan"),
             pytest.param("asl_unigram comma_boost 0.5 floor_prob 1e-07\n1\tA\n", ":1:", id="asl-boost-below-one"),
             pytest.param("asl_unigram comma_boost 2.0 floor_prob 0\n1\tA\n", ":1:", id="asl-floor-zero"),
+            pytest.param("asl_unigram comma_boost 2.0 floor_prob 5.0\n1\tA\n", ":1:", id="asl-floor-above-one"),
             pytest.param("asl_unigram comma_boost 2.0\n1\tA\n", ":1:", id="asl-header-short"),
         ],
     )
